@@ -12,7 +12,6 @@ from .pruning import PrunedSweepResult, pruned_grid_sweep
 from .scoring import NEG_INF, PAD, ScoringScheme, bwa_mem_scoring
 from .semiglobal import SemiglobalResult, semiglobal_align
 from .smith_waterman import sw_align_slow, sw_score, sw_traceback
-from .striped import striped_sw_score
 from .traceback import Cigar, Traceback, align_with_traceback, traceback
 from .xdrop import XDropResult, xdrop_extend
 
@@ -26,7 +25,7 @@ __all__ = [
     "grid_sweep", "JobGeometry", "job_geometry", "parallel_grid_sweep",
     "pruned_grid_sweep", "PrunedSweepResult",
     "Cigar", "Traceback", "traceback", "align_with_traceback",
-    "striped_sw_score", "xdrop_extend", "XDropResult",
+    "xdrop_extend", "XDropResult",
     "semiglobal_align", "SemiglobalResult",
     "traceback_batch", "traceback_one",
 ]

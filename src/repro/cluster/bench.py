@@ -15,8 +15,9 @@ while keeping hash affinity's cache behaviour.
 combination and must produce bit-identical results to the engine's
 contract — exact local engines against the single-device reference
 path, bounded/alternative-endpoint engines against their own direct
-``score_batch`` output (see ``_fidelity_check``) — placement and
-stealing may only change the modeled schedule, never a result.
+``score_batch`` output (see :func:`repro.serve.bench.fidelity_oracle`)
+— placement and stealing may only change the modeled schedule, never
+a result.
 
 Everything is seeded and modeled, so rerunning the benchmark yields a
 byte-identical JSON artifact (the CI ``cluster-smoke`` job ``cmp``\\ s
@@ -28,16 +29,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..align.scoring import ScoringScheme
-from ..baselines.base import ExtensionJob
 from ..core.config import SalobaConfig
-from ..core.batching import BatchRunner
-from ..core.kernel import SalobaKernel
-from ..engine import AUTO_ENGINE, ExecutionEngine, resolve_engine
 from ..gpusim.device import GTX1650, DeviceProfile
-from ..serve.bench import mixed_stream
+from ..serve.bench import fidelity_oracle, mixed_stream
 from .cluster import AlignmentCluster
 from .router import ROUTING_POLICIES
 from .worker import WorkerSpec
@@ -111,49 +106,23 @@ def _fidelity_check(
 ) -> tuple[int, bool]:
     """Results must match the engine's contract under every schedule.
 
-    What "fidelity" means is read off the engine's capability
-    descriptor, mirroring :func:`repro.serve.bench._fidelity_check`:
-
-    * **exact local** engines (``auto`` and ``None`` included) must
-      produce bit-identical *scores* to the single-device reference
-      path — the optimal endpoint can legitimately differ when
-      several cells tie at the maximum, because each worker's
-      auto-tuned subwarp scans the matrix in a different order; the
-      maximum itself is scan-order-invariant;
-    * **bounded or alternative-endpoint** engines compute a different
-      quantity than the reference oracle, so every schedule's results
-      must instead be bit-identical — endpoints included — to the
-      engine's own direct ``score_batch`` output (all such engines
-      are grouping-invariant, so placement and stealing still may
-      only change the modeled schedule, never a result).
+    The jobs and the rule come from
+    :func:`repro.serve.bench.fidelity_oracle`, with one difference:
+    exact local engines, the reference included, are held to the
+    reference *scores* only — the optimal endpoint can legitimately
+    differ when several cells tie at the maximum, because each
+    worker's auto-tuned subwarp scans the matrix in a different
+    order; the maximum itself is scan-order-invariant.  Bounded and
+    alternative-endpoint engines are grouping-invariant, so placement
+    and stealing still may only change the modeled schedule, never a
+    result.
     """
-    if n <= 0:
+    jobs, matches = fidelity_oracle(
+        scoring, config, device, n=n, seed=seed, engine=engine,
+        reference_endpoints=False,
+    )
+    if not jobs:
         return 0, True
-    rng = np.random.default_rng(seed + 1)
-    unique = [
-        ExtensionJob(
-            ref=rng.integers(0, 4, int(rng.integers(40, 90))).astype(np.uint8),
-            query=rng.integers(0, 4, int(rng.integers(30, 80))).astype(np.uint8),
-        )
-        for _ in range(max(n // 2, 1))
-    ]
-    jobs = unique + [unique[int(i)] for i in rng.integers(0, len(unique), n - len(unique))]
-    eng = None
-    if engine is not None and engine != AUTO_ENGINE:
-        eng = engine if isinstance(engine, ExecutionEngine) else resolve_engine(engine)
-    if eng is not None and not (
-        eng.capabilities.exactness == "exact"
-        and eng.capabilities.endpoints == "local"
-    ):
-        expected = eng.score_batch(jobs, scoring, config=config)
-        compare = lambda h, exp: h.result() == exp  # noqa: E731
-    else:
-        reference = BatchRunner(
-            SalobaKernel(scoring, config), device, batch_size=len(jobs)
-        ).run_resilient(jobs, compute_scores=True)
-        assert reference.results is not None
-        expected = reference.results
-        compare = lambda h, exp: h.result().score == exp.score  # noqa: E731
     for policy, stealing in combos:
         cl = AlignmentCluster(
             [WorkerSpec(f"w{i}", device=device) for i in range(n_workers)],
@@ -163,7 +132,7 @@ def _fidelity_check(
         )
         handles = cl.submit_jobs(jobs)
         cl.run()
-        if not all(compare(h, exp) for h, exp in zip(handles, expected)):
+        if not matches([h.result() for h in handles]):
             return len(jobs), False
     return len(jobs), True
 

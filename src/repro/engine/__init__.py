@@ -11,7 +11,6 @@ declares *what* it computes via :class:`EngineCapabilities`.
 """
 
 from .base import (
-    AUTO_ENGINE,
     EngineCapabilities,
     ExecutionEngine,
     engine_capabilities,
@@ -23,7 +22,6 @@ from .base import (
 )
 from .batched import BatchedWavefrontEngine, batched_sw_align
 from .reference import ReferenceEngine
-from .striped import StripedEngine, striped_sw_align
 from .variants import (
     BandedEngine,
     NWEngine,
@@ -34,22 +32,18 @@ from .variants import (
 )
 
 __all__ = [
-    "AUTO_ENGINE",
     "EngineCapabilities",
     "ExecutionEngine",
     "ReferenceEngine",
     "BatchedWavefrontEngine",
-    "StripedEngine",
     "BandedEngine",
     "XDropEngine",
     "SemiglobalEngine",
     "NWEngine",
     "PrunedEngine",
     "EngineBenchResult",
-    "StripedBenchResult",
     "batched_sw_align",
     "batched_banded_sw_align",
-    "striped_sw_align",
     "engine_capabilities",
     "engine_names",
     "find_engines",
@@ -57,7 +51,6 @@ __all__ = [
     "register_engine",
     "resolve_engine",
     "run_engine_bench",
-    "run_striped_bench",
 ]
 
 
@@ -69,8 +62,4 @@ def __getattr__(name):
         from . import bench
 
         return getattr(bench, name)
-    if name in ("StripedBenchResult", "run_striped_bench"):
-        from . import striped_bench
-
-        return getattr(striped_bench, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,24 +32,23 @@ descriptor saying *what it computes*, not just how fast:
 
 Callers *select by capability* instead of hard-coding module imports:
 the QoS degradation ladder resolves its banded / x-drop tiers through
-:func:`find_engines`, and :class:`repro.serve.binning.BinTuner`'s
-auto-race only considers engines whose descriptor matches the exact
-local contract the serve path requires.
+:func:`find_engines`, and the bench fidelity gates pick their oracle
+from the descriptor.
 
 The exact local backends that ship: ``reference`` (per-pair faithful
 dataflow, :func:`repro.core.intra_query.saloba_extend_exact`),
-``batched`` (cross-query anti-diagonal sweep), ``striped`` (batched
-Farrar-striped sweep), and ``pruned`` (block-grid sweep with
-CUDAlign-style block pruning).  The bounded / alternative-endpoint
+``batched`` (cross-query anti-diagonal sweep), and ``pruned``
+(block-grid sweep with CUDAlign-style block pruning).  Scores agree
+bit for bit; when several cells tie at the maximum, ``reference`` and
+``pruned`` may report a different endpoint than ``batched`` (see
+docs/PERFORMANCE.md, "Endpoint tie-break").  The bounded / alternative-endpoint
 family from :mod:`repro.align` registers alongside them: ``banded``,
 ``xdrop``, ``semiglobal``, and ``nw`` (see
 :mod:`repro.engine.variants`).
 
 Select one by name wherever a kernel is built (``AlignmentService``,
 ``WorkerSpec``/``AlignmentCluster``, ``--engine`` on the bench CLIs),
-pass an instance for a custom backend, or pass :data:`AUTO_ENGINE`
-(``"auto"``) on the serve/cluster layers to let the bin tuner pick
-the wall-clock winner per length bin.  Bounded engines take their
+or pass an instance for a custom backend.  Bounded engines take their
 bound inline in the spec string — ``"banded:band=16"``,
 ``"xdrop:x=50"`` — or as keyword arguments to :func:`resolve_engine`.
 """
@@ -63,7 +62,6 @@ from ..align.matrix import AlignmentResult
 from ..align.scoring import ScoringScheme
 
 __all__ = [
-    "AUTO_ENGINE",
     "EngineCapabilities",
     "ExecutionEngine",
     "engine_capabilities",
@@ -73,14 +71,6 @@ __all__ = [
     "register_engine",
     "resolve_engine",
 ]
-
-#: Sentinel engine spec meaning "let the serve layer pick per length
-#: bin": :class:`repro.serve.binning.BinTuner` races the exact local
-#: engines on the bin's first-traffic sample and pins the wall-clock
-#: winner.  Not itself a registered engine — :func:`resolve_engine`
-#: rejects it; only engine-selection plumbing (AlignmentService,
-#: WorkerSpec/AlignmentCluster, the bench CLIs) understands it.
-AUTO_ENGINE = "auto"
 
 _EXACTNESS = ("exact", "bounded")
 _GAP_MODELS = ("affine", "linear")
@@ -197,7 +187,7 @@ def _ensure_builtins() -> None:
     without ever importing the :mod:`repro.engine` package itself.
     """
     if "reference" not in _REGISTRY or "banded" not in _REGISTRY:
-        from . import batched, reference, striped, variants  # noqa: F401
+        from . import batched, reference, variants  # noqa: F401
 
 
 def engine_names() -> tuple[str, ...]:
@@ -228,8 +218,8 @@ def find_engines(
 
     ``None`` criteria match anything; *requires* lists bound-parameter
     names the engine must accept (``requires=("band",)`` finds the
-    banded family).  This is how the QoS ladder and the bin tuner pick
-    backends without naming modules.
+    banded family).  This is how the QoS ladder picks backends without
+    naming modules.
     """
     _ensure_builtins()
     out = []

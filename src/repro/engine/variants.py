@@ -35,7 +35,7 @@ their per-pair reference algorithms byte for byte (the degraded QoS
 tiers resolve through them, and degraded results must stay
 reproducible across PRs); **pruned** is score-identical to
 ``sw_align_slow`` with block-grid endpoints (the library-wide
-tie-break caveat applies, as for ``batched``/``striped``).
+tie-break caveat applies, as for ``batched``).
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ class PrunedEngine(ExecutionEngine):
     Scores are bit-identical to the oracle (pruning is exact by
     construction); endpoints follow the block-grid scan order, which
     may pick a different equal-scoring cell than the row scan (the
-    library-wide tie-break caveat, as for ``batched``/``striped``).
+    library-wide tie-break caveat, as for ``batched``).
     """
 
     name = "pruned"

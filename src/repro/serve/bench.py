@@ -24,16 +24,19 @@ Shared by ``repro serve-bench`` (CLI) and ``benchmarks/bench_serve.py``
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..align.matrix import AlignmentResult
 from ..align.scoring import ScoringScheme
 from ..baselines.base import ExtensionJob
 from ..core.batching import BatchRunner
 from ..core.config import SalobaConfig
 from ..core.kernel import SalobaKernel
 from ..datasets.profiles import DATASET_A, DATASET_B
+from ..engine.base import resolve_engine
 from ..gpusim.device import GTX1650, DeviceProfile
 from ..obs import Tracer, chrome_trace_json, rollup
 from .service import AlignmentService
@@ -41,6 +44,7 @@ from .service import AlignmentService
 __all__ = [
     "ServeBenchResult",
     "ObsBenchResult",
+    "fidelity_oracle",
     "mixed_stream",
     "run_serve_bench",
     "run_obs_bench",
@@ -163,7 +167,7 @@ class ServeBenchResult:
         return json.dumps(self.__dict__, **dumps_kwargs)
 
 
-def _fidelity_check(
+def fidelity_oracle(
     scoring: ScoringScheme,
     config: SalobaConfig,
     device: DeviceProfile,
@@ -171,27 +175,31 @@ def _fidelity_check(
     n: int,
     seed: int,
     engine=None,
-) -> tuple[int, bool]:
-    """Scored service results must match the engine's contract bitwise.
+    reference_endpoints: bool = True,
+) -> tuple[list[ExtensionJob], Callable[[list[AlignmentResult]], bool]]:
+    """Sample scored jobs and the rule their served results must meet.
 
-    What "fidelity" means is read off the engine's capability
-    descriptor (:class:`repro.engine.EngineCapabilities`):
+    Returns ``(jobs, matches)``: *n* short jobs, half of them repeats
+    (so caching and coalescing are exercised), and a predicate over
+    the results served for them, in order.  What "fidelity" means is
+    read off the engine's capability descriptor
+    (:class:`repro.engine.EngineCapabilities`):
 
-    * the reference engine reproduces the full per-pair path, so the
-      comparison is the complete result (score and endpoints);
-    * other **exact local** engines guarantee bit-identical *scores*
-      while equal-scoring cells may end at a different coordinate (the
-      library-wide tie-break caveat), so the comparison drops to
-      scores only — the adaptive (``auto``) service is held to the
-      same bar since it only ever races exact local engines;
+    * **exact local** engines must reproduce the reference path's
+      *scores* bit for bit; equal-scoring cells may end at a different
+      coordinate (see docs/PERFORMANCE.md, "Endpoint tie-break").  With
+      *reference_endpoints* the reference engine itself is held to the
+      complete result, endpoints included;
     * **bounded or alternative-endpoint** engines (banded, x-drop,
       semiglobal, NW) compute a different quantity than the reference
-      oracle, so the gate instead demands the service round-trip be
-      bit-identical — endpoints included — to the engine's own direct
-      ``score_batch`` output on the same jobs.
+      oracle, so their results must instead be bit-identical —
+      endpoints included — to the engine's own direct ``score_batch``
+      output on the same jobs.
+
+    Shared by the serve and cluster benches.
     """
     if n <= 0:
-        return 0, True
+        return [], lambda results: True
     rng = np.random.default_rng(seed + 1)
     unique = [
         ExtensionJob(
@@ -201,35 +209,18 @@ def _fidelity_check(
         for _ in range(max(n // 2, 1))
     ]
     jobs = unique + [unique[int(i)] for i in rng.integers(0, len(unique), n - len(unique))]
-    service = AlignmentService(
-        scoring, config, device, compute_scores=True, engine=engine
-    )
-    handles = service.submit_jobs(jobs)
-    service.flush()
-    eng = service.engine
-    caps = eng.capabilities if eng is not None else None
-    if caps is not None and not (
-        caps.exactness == "exact" and caps.endpoints == "local"
-    ):
+    eng = resolve_engine(engine)
+    caps = eng.capabilities
+    if not (caps.exactness == "exact" and caps.endpoints == "local"):
         expected = eng.score_batch(jobs, scoring, config=config)
-        identical = all(
-            h.result() == exp for h, exp in zip(handles, expected)
-        )
-        return len(jobs), identical
+        return jobs, lambda results: results == expected
     reference = BatchRunner(
         SalobaKernel(scoring, config), device, batch_size=len(jobs)
-    ).run_resilient(jobs, compute_scores=True)
-    if eng is not None and eng.name == "reference":
-        identical = all(
-            h.result() == ref_res
-            for h, ref_res in zip(handles, reference.results)
-        )
-    else:
-        identical = all(
-            h.result().score == ref_res.score
-            for h, ref_res in zip(handles, reference.results)
-        )
-    return len(jobs), identical
+    ).run_resilient(jobs, compute_scores=True).results
+    if reference_endpoints and eng.name == "reference":
+        return jobs, lambda results: results == reference
+    scores = [r.score for r in reference]
+    return jobs, lambda results: [r.score for r in results] == scores
 
 
 def run_serve_bench(
@@ -285,9 +276,15 @@ def run_serve_bench(
         service.flush()
     serve_ms = service.clock_ms
 
-    scored_checked, scored_identical = _fidelity_check(
+    jobs, matches = fidelity_oracle(
         scoring, config, device, n=scored_pairs, seed=seed, engine=engine
     )
+    scored = AlignmentService(
+        scoring, config, device, compute_scores=True, engine=engine
+    )
+    handles = scored.submit_jobs(jobs)
+    scored.flush()
+    scored_identical = matches([h.result() for h in handles])
     return ServeBenchResult(
         n_requests=len(stream),
         n_unique=n_unique,
@@ -298,7 +295,7 @@ def run_serve_bench(
         speedup=naive_ms / serve_ms if serve_ms else float("inf"),
         naive_jobs_per_s=len(stream) / naive_ms * 1e3 if naive_ms else 0.0,
         serve_jobs_per_s=len(stream) / serve_ms * 1e3 if serve_ms else 0.0,
-        scored_checked=scored_checked,
+        scored_checked=len(jobs),
         scored_identical=scored_identical,
         tuning=tuning,
         metrics=service.metrics().to_dict(),

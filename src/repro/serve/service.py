@@ -40,7 +40,7 @@ from ..align.matrix import AlignmentResult
 from ..align.scoring import ScoringScheme
 from ..baselines.base import ExtensionJob
 from ..core.config import SalobaConfig
-from ..engine.base import AUTO_ENGINE, resolve_engine
+from ..engine.base import resolve_engine
 from ..gpusim.device import GTX1650, DeviceProfile
 from ..obs.tracer import NULL_TRACER
 from ..resilience.errors import AlignmentError, CapacityExceeded
@@ -112,18 +112,11 @@ class AlignmentService:
     engine:
         Exact-scoring execution backend (:mod:`repro.engine`): a
         registered name (``"reference"`` per-pair dataflow — the
-        default; ``"batched"`` cross-query anti-diagonal sweep;
-        ``"striped"`` batched Farrar-striped sweep), an
-        :class:`~repro.engine.ExecutionEngine` instance, or
-        :data:`~repro.engine.AUTO_ENGINE` (``"auto"``) to let each
-        length bin race the registered engines on its first-traffic
-        sample and pin the wall-clock winner (:attr:`engine` is then
-        ``None`` and per-bin choices live in
-        ``tuner.chosen_engines``).  Engines only change host
-        wall-clock speed in ``compute_scores=True`` mode: scores stay
-        bit-identical and the modeled clock, metrics, and traces are
-        byte-identical whichever engine runs (in auto mode only the
-        machine-dependent ``bin.tune`` selection attributes differ).
+        default; ``"batched"`` cross-query anti-diagonal sweep) or an
+        :class:`~repro.engine.ExecutionEngine` instance.  Exact engines
+        only change host wall-clock speed in ``compute_scores=True``
+        mode: scores stay bit-identical and the modeled clock,
+        metrics, and traces are byte-identical whichever engine runs.
 
     Examples
     --------
@@ -168,11 +161,8 @@ class AlignmentService:
         self.compute_scores = compute_scores
         self.retry_policy = retry_policy or RetryPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: The fixed engine shared by every bin, or ``None`` in
-        #: adaptive (:data:`AUTO_ENGINE`) mode, where each bin picks
-        #: its own (see ``tuner.chosen_engines``).
-        self.adaptive_engine = isinstance(engine, str) and engine == AUTO_ENGINE
-        self.engine = None if self.adaptive_engine else resolve_engine(engine)
+        #: The engine shared by every bin.
+        self.engine = resolve_engine(engine)
         # QoS is strictly opt-in: without a policy the service keeps the
         # plain admission queue and every QoS branch below is dead code,
         # which is how the single-tenant path stays bit-identical.
@@ -194,7 +184,7 @@ class AlignmentService:
             self.scoring, self.config, device,
             fault_plan=fault_plan, autotune=autotune_subwarp,
             tracer=self.tracer,
-            engine=AUTO_ENGINE if self.adaptive_engine else self.engine,
+            engine=self.engine,
         )
         self.cache = ResultCache(max_bytes=cache_bytes) if cache_bytes else None
         self.max_batch_jobs = max_batch_jobs
@@ -680,16 +670,8 @@ class AlignmentService:
         Already-tuned bins keep their chosen subwarp sizes (their
         kernels are rebuilt against the new engine), so the modeled
         clock, metrics, and traces are unaffected — engines only
-        change host wall-clock speed.  Passing
-        :data:`~repro.engine.AUTO_ENGINE` switches *future* bins to
-        per-bin adaptive selection; already-tuned bins keep their
-        current engines.
+        change host wall-clock speed.
         """
-        self.adaptive_engine = isinstance(engine, str) and engine == AUTO_ENGINE
-        if self.adaptive_engine:
-            self.engine = None
-            self.tuner.set_engine(AUTO_ENGINE)
-            return
         self.engine = resolve_engine(engine)
         self.tuner.set_engine(self.engine)
 
@@ -703,9 +685,8 @@ class AlignmentService:
         traffic and uses ``max_batch_jobs``; with it, batch sizes come
         from :meth:`BatchRunner.tune_batch_size` per bin.  Returns
         ``{bin label: {"subwarp": s, "batch_size": b, "jobs": n,
-        "engine": name}}`` — *engine* is the bin's backend (the
-        adaptive winner in :data:`AUTO_ENGINE` mode, otherwise the
-        fixed engine's registry name).
+        "engine": name}}`` — *engine* is the service engine's registry
+        name, shared by every bin.
         """
         by_bin: dict[int, list[ExtensionJob]] = {}
         for job in sample_jobs:
@@ -721,7 +702,7 @@ class AlignmentService:
                 "subwarp": self.tuner.chosen_subwarps[bin_index],
                 "batch_size": self._bin_batch_sizes[bin_index],
                 "jobs": len(sample),
-                "engine": self.tuner.chosen_engines[bin_index],
+                "engine": self.engine.name,
             }
         return report
 

@@ -57,7 +57,7 @@ class TestRegistry:
     def test_builtin_names(self):
         assert engine_names() == (
             "banded", "batched", "nw", "pruned",
-            "reference", "semiglobal", "striped", "xdrop",
+            "reference", "semiglobal", "xdrop",
         )
 
     def test_resolve_default_is_reference(self):
@@ -153,7 +153,7 @@ class TestEngineIndependence:
     def test_kernel_timing_identical_across_engines(self, rng):
         jobs = make_jobs(_random_pairs(rng, 12, with_n=False))
         ref = SalobaKernel(engine="reference").run(jobs, GTX1650, compute_scores=True)
-        for name in ("batched", "striped", "pruned"):
+        for name in ("batched", "pruned"):
             got = SalobaKernel(engine=name).run(jobs, GTX1650, compute_scores=True)
             assert ref.timing == got.timing
             assert [r.score for r in ref.results] == [r.score for r in got.results]
@@ -162,7 +162,7 @@ class TestEngineIndependence:
         pairs = _random_pairs(rng, 24, with_n=False)
         pairs += pairs[:6]  # duplicates exercise cache + coalescing
         a = _service_outcome("reference", pairs)
-        for name in ("batched", "striped", "pruned"):
+        for name in ("batched", "pruned"):
             # outcomes, clock, metrics, and trace bytes
             assert _service_outcome(name, pairs) == a
 
@@ -171,7 +171,7 @@ class TestEngineIndependence:
                          overflow_rate=0.1)
         pairs = _random_pairs(rng, 30, with_n=False)
         a = _service_outcome("reference", pairs, fault_plan=plan)
-        for name in ("batched", "striped", "pruned"):
+        for name in ("batched", "pruned"):
             assert _service_outcome(name, pairs, fault_plan=plan) == a
 
     def test_cluster_mixed_engines_identical_scores(self, rng):
@@ -186,7 +186,7 @@ class TestEngineIndependence:
 
         uniform, t0 = run([WorkerSpec("w0"), WorkerSpec("w1")])
         mixed, t1 = run(
-            [WorkerSpec("w0", engine="batched"), WorkerSpec("w1", engine="striped")],
+            [WorkerSpec("w0", engine="batched"), WorkerSpec("w1", engine="pruned")],
             engine="reference",
         )
         batched, t2 = run([WorkerSpec("w0"), WorkerSpec("w1")], engine="batched")

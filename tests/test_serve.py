@@ -2,6 +2,8 @@
 the fault-injection contract (every request resolves; cache never
 serves a failed job; deterministic reruns give identical snapshots)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from repro.resilience import (
     job_key,
 )
 from repro.align import ScoringScheme, sw_align
-from repro.core import SUBWARP_SIZES
+from repro.core import SUBWARP_SIZES, SalobaConfig
 from repro.gpusim import GTX1650
+from repro.obs import Tracer
 from repro.serve import (
     AlignmentService,
     LengthBinner,
@@ -24,12 +27,22 @@ from repro.serve import (
     cache_key,
 )
 from repro.serve.bench import mixed_stream, run_serve_bench
+from repro.serve.binning import BinTuner
 
 
 def _pairs(rng, n, lo=24, hi=40):
     return [
         (rng.integers(0, 4, int(rng.integers(lo, hi))).astype(np.uint8),
          rng.integers(0, 4, int(rng.integers(lo, hi))).astype(np.uint8))
+        for _ in range(n)
+    ]
+
+
+def _random_pairs(rng, n, hi=60, with_n=True):
+    top = 5 if with_n else 4
+    return [
+        (rng.integers(0, top, int(rng.integers(0, hi))).astype(np.uint8),
+         rng.integers(0, top, int(rng.integers(0, hi))).astype(np.uint8))
         for _ in range(n)
     ]
 
@@ -272,6 +285,70 @@ class TestBinning:
         info = report["<=256"]
         assert info["subwarp"] in SUBWARP_SIZES
         assert 1 <= info["batch_size"] <= 512
+        assert info["engine"] == "reference"
+
+    def test_bin_tune_span_carries_only_tuning_attrs(self, rng):
+        """Fixed-engine traces stay byte-identical across engines only
+        while ``bin.tune`` records the subwarp tuning and nothing about
+        the engine."""
+        sample = make_jobs(_random_pairs(rng, 8, hi=40, with_n=False))
+        for name in ("reference", "batched", "pruned"):
+            tracer = Tracer()
+            tuner = BinTuner(ScoringScheme(), SalobaConfig(), GTX1650,
+                             engine=name, tracer=tracer)
+            tuner.kernel_for(0, sample)
+            (span,) = [s for root in tracer.roots for s in root.find("bin.tune")]
+            assert list(span.attrs) == [
+                "bin", "chosen", "candidates_ms", "skipped", "sample"]
+
+    def test_set_engine_rebuilds_tuned_bins(self, rng):
+        svc = AlignmentService(engine="batched")
+        sample = make_jobs(_random_pairs(rng, 8, hi=40, with_n=False))
+        before = svc.tuner.kernel_for(0, sample)
+        subwarps = dict(svc.tuner.chosen_subwarps)
+        svc.set_engine("pruned")
+        after = svc.tuner.kernel_for(0, sample)
+        assert after is not before
+        assert svc.engine.name == after.engine.name == "pruned"
+        assert svc.tuner.chosen_subwarps == subwarps
+        assert after.config.subwarp_size == before.config.subwarp_size
+
+
+# ---------------------------------------------------------------------------
+# tune_batch_size over-capacity fallback
+# ---------------------------------------------------------------------------
+
+
+class TestTuneBatchSizeFallback:
+    def _sample(self, rng):
+        return make_jobs(_random_pairs(rng, 6, hi=40, with_n=False))
+
+    def test_fallback_probes_default_and_raises_when_it_cannot_fit(self, rng):
+        """Nothing fits a 1-byte device: the old code would hand back
+        the (equally over-capacity) default; the fix raises the
+        taxonomy error up front."""
+        tiny = dataclasses.replace(GTX1650, name="tiny", device_mem_gb=1e-9)
+        tuner = BinTuner(ScoringScheme(), SalobaConfig(), tiny)
+        with pytest.raises(CapacityExceeded, match="fallback batch size"):
+            tuner.tune_batch_size(0, self._sample(rng))
+
+    def test_fallback_returns_default_when_it_fits(self, rng):
+        """Candidates that all exceed capacity but a default that fits
+        must still fall back silently (the pre-fix contract)."""
+        sample = self._sample(rng)
+        per = sum(j.ref_len + j.query_len for j in sample) / len(sample)
+        # Fits ~32 sample-shaped jobs: every default candidate (>= 256)
+        # is disqualified, the probed default of 8 is not.
+        mid = dataclasses.replace(
+            GTX1650, name="mid", device_mem_gb=per * 32 / 1e9
+        )
+        tuner = BinTuner(ScoringScheme(), SalobaConfig(), mid)
+        assert tuner.tune_batch_size(0, sample, default=8) == 8
+
+    def test_normal_tuning_path_unchanged(self, rng):
+        tuner = BinTuner(ScoringScheme(), SalobaConfig(), GTX1650)
+        got = tuner.tune_batch_size(0, self._sample(rng))
+        assert got in (256, 1024, 4096)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ class TestCapabilities:
         expect = {
             "reference": ("exact", "affine", "local", ()),
             "batched": ("exact", "affine", "local", ()),
-            "striped": ("exact", "affine", "local", ()),
             "pruned": ("exact", "affine", "local", ()),
             "banded": ("bounded", "affine", "local", ("band",)),
             "xdrop": ("bounded", "affine", "anchored", ("x",)),
@@ -114,7 +113,7 @@ class TestCapabilities:
     def test_find_engines_queries(self):
         assert find_engines() == engine_names()
         assert find_engines(exactness="exact", endpoints="local") == (
-            "batched", "pruned", "reference", "striped")
+            "batched", "pruned", "reference")
         assert find_engines(requires=("band",)) == ("banded",)
         assert find_engines(requires=("x",)) == ("xdrop",)
         assert find_engines(endpoints="global") == ("nw",)
@@ -490,11 +489,12 @@ class TestBenchFidelityGates:
 
 class TestCliEngineValidation:
     def test_unknown_engine_exits_2(self, capsys):
-        rc = main(["serve-bench", "--requests", "1", "--engine", "gpu3000"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "unknown engine" in captured.err
-        assert "Traceback" not in captured.err
+        for spec in ("gpu3000", "auto"):
+            rc = main(["serve-bench", "--requests", "1", "--engine", spec])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert "unknown engine" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_malformed_engine_params_exit_2(self, capsys):
         rc = main(["serve-bench", "--requests", "1", "--engine", "banded:frob=1"])
@@ -503,6 +503,13 @@ class TestCliEngineValidation:
         assert "Traceback" not in captured.err
 
     def test_cluster_bench_validates_engine_too(self, capsys):
-        rc = main(["cluster-bench", "--requests", "1", "--engine", "gpu3000"])
-        assert rc == 2
-        assert "unknown engine" in capsys.readouterr().err
+        for spec in ("gpu3000", "auto"):
+            rc = main(["cluster-bench", "--requests", "1", "--engine", spec])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert "unknown engine" in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_service_rejects_auto(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            AlignmentService(engine="auto")

@@ -4,16 +4,19 @@ One parametrized module relating every registered backend pair through
 the capability descriptors: exact local engines are score-identical to
 each other and to the oracle; NW == semiglobal-with-free-ends-disabled
 == SW-with-zero-floor-removed on identical inputs (three derivations
-of the same global DP); the striped scalar scorer matches `sw_align`;
-the pruning sweep preserves exact scores; and the documented score
-orderings between endpoint semantics (global <= semiglobal <= local,
-anchored <= local, banded <= local) hold for every comparable pair.
+of the same global DP); the pruning sweep preserves exact scores; the
+documented score orderings between endpoint semantics (global <=
+semiglobal <= local, anchored <= local, banded <= local) hold for every
+comparable pair; and on forced ties every exact local engine ends on a
+maximal cell, with `batched` following `sw_align`'s tie-break.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, sw_align
 from repro.align.banded import banded_sw_align
@@ -23,10 +26,10 @@ from repro.align.pruning import pruned_grid_sweep
 from repro.align.scoring import bwa_mem_scoring
 from repro.align.semiglobal import semiglobal_score_slow
 from repro.align.smith_waterman import sw_align_slow
-from repro.align.striped import striped_sw_score
 from repro.align.xdrop import xdrop_extend
 from repro.baselines.base import ExtensionJob
 from repro.engine import engine_capabilities, engine_names, resolve_engine
+from repro.seqs import encode
 
 SCHEMES = [
     ScoringScheme(),
@@ -122,7 +125,7 @@ class TestPairwiseMatrix:
         scoring = SCHEMES[scheme_idx]
         pairs = _pairs(seed=77 + scheme_idx)
         locals_ = [n for n in engine_names() if _is_exact_local(n)]
-        assert set(locals_) == {"batched", "pruned", "reference", "striped"}
+        assert set(locals_) == {"batched", "pruned", "reference"}
         baseline = [sw_align_slow(r, q, scoring).score for r, q in pairs]
         for name in locals_:
             assert _scores(name, pairs, scoring) == baseline
@@ -193,17 +196,67 @@ class TestGlobalEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Striped scalar vs sw_align; pruning score preservation
+# Forced ties: the exact local endpoint tie-break
+# ---------------------------------------------------------------------------
+
+
+def _periodic(motif, length):
+    return encode((motif * length)[:length])
+
+
+#: Low-entropy periodic sequences over {A, C}: short motifs repeated
+#: make many cells tie at the maximum, so tie-breaks decide endpoints.
+periodic = st.builds(
+    _periodic, st.text(alphabet="AC", min_size=1, max_size=3), st.integers(0, 40)
+)
+
+
+class TestForcedTies:
+    @settings(max_examples=60, deadline=None)
+    @given(ref=periodic, query=periodic, scheme_idx=st.integers(0, len(SCHEMES) - 1))
+    def test_exact_local_engines_end_on_a_maximal_cell(self, ref, query, scheme_idx):
+        scoring = SCHEMES[scheme_idx]
+        want = sw_align_slow(ref, query, scoring).score
+        H = full_matrices(ref, query, scoring).H
+        jobs = [ExtensionJob(ref=ref, query=query)]
+        for name in engine_names():
+            if not _is_exact_local(name):
+                continue
+            (res,) = resolve_engine(name).score_batch(jobs, scoring)
+            assert res.score == want, name
+            assert H[res.ref_end, res.query_end] == want, name
+            if name == "batched":
+                assert res == sw_align(ref, query, scoring)
+
+    def test_documented_divergence(self):
+        """Two cells tie at 32: the row scan and block grid end at the
+        smaller reference index, the anti-diagonal sweep at the smaller
+        diagonal (docs/PERFORMANCE.md, "Endpoint tie-break")."""
+        ref, query = encode("ACC" * 11), encode("CCA" * 11 + "C")
+        scoring = SCHEMES[0]
+        jobs = [ExtensionJob(ref=ref, query=query)]
+        ends = {
+            name: resolve_engine(name).score_batch(jobs, scoring)[0]
+            for name in ("reference", "pruned", "batched")
+        }
+        ends["sw_align"] = sw_align(ref, query, scoring)
+        ends["sw_align_slow"] = sw_align_slow(ref, query, scoring)
+        got = {n: (r.score, r.ref_end, r.query_end) for n, r in ends.items()}
+        assert got == {
+            "reference": (32, 32, 34),
+            "pruned": (32, 32, 34),
+            "sw_align_slow": (32, 32, 34),
+            "batched": (32, 33, 32),
+            "sw_align": (32, 33, 32),
+        }
+
+
+# ---------------------------------------------------------------------------
+# Pruning score preservation
 # ---------------------------------------------------------------------------
 
 
 class TestScalarVariants:
-    @pytest.mark.parametrize("scheme_idx", range(len(SCHEMES)))
-    def test_striped_scalar_matches_sw_align(self, scheme_idx):
-        scoring = SCHEMES[scheme_idx]
-        for r, q in _pairs(seed=555 + scheme_idx):
-            assert striped_sw_score(r, q, scoring) == sw_align(r, q, scoring).score
-
     @pytest.mark.parametrize("scheme_idx", range(len(SCHEMES)))
     def test_pruning_sweep_preserves_scores(self, scheme_idx):
         scoring = SCHEMES[scheme_idx]
