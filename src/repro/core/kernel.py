@@ -18,7 +18,10 @@ funnels each job through the faithful dataflow executor of
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..align.blocks import BLOCK
+from ..align.grid import job_geometry
 from ..align.matrix import AlignmentResult
 from ..baselines.base import ExtensionJob, ExtensionKernel
 from ..engine.base import resolve_engine
@@ -29,7 +32,7 @@ from ..gpusim.memory import AccessPattern, MemoryModel
 from ..gpusim.scheduler import WarpJob
 from ..gpusim.sharedmem import SharedAllocation
 from .config import SalobaConfig
-from .layout import JobPlan, plan_job
+from .layout import plan_job
 from .subwarp import schedule_subwarps
 
 __all__ = ["SalobaKernel"]
@@ -71,10 +74,7 @@ class SalobaKernel(ExtensionKernel):
         if self.config.band:
             self.name += f"[band={self.config.band}]"
 
-    # ----- per-job structural cost ---------------------------------------
-
-    def job_plan(self, job: ExtensionJob) -> JobPlan:
-        return plan_job(job.geometry(), self.config.subwarp_size, self.config.band)
+    # ----- structural cost --------------------------------------------------
 
     def _step_ops(self) -> float:
         """Warp issues per anti-diagonal step of a subwarp."""
@@ -96,13 +96,6 @@ class SalobaKernel(ExtensionKernel):
         words_per_thread = BLOCK * self.config.cell_record_bytes / 4
         return 2 * (words_per_thread * self.costs.spill_ops_per_word) + self.costs.shared_access_ops
 
-    def job_cycles(self, job: ExtensionJob) -> float:
-        plan = self.job_plan(job)
-        cycles = plan.total_steps * self._step_ops()
-        if self.config.lazy_spill:
-            cycles += plan.spill_events * self._spill_event_ops()
-        return cycles
-
     # ----- timing model ----------------------------------------------------
 
     def _model(
@@ -110,8 +103,16 @@ class SalobaKernel(ExtensionKernel):
     ) -> LaunchTiming:
         cfg = self.config
         cnt = Counters()
-        plans = [self.job_plan(j) for j in jobs]
-        job_cycles = [self.job_cycles(j) for j in jobs]
+        n = len(jobs)
+        ref_len = np.fromiter((j.ref.size for j in jobs), dtype=np.int64, count=n)
+        query_len = np.fromiter((j.query.size for j in jobs), dtype=np.int64, count=n)
+        # One closed-form plan for the whole launch: per-job arrays.
+        plan = plan_job(job_geometry(ref_len, query_len), cfg.subwarp_size, cfg.band)
+        step_ops = self._step_ops()
+        spill_ops = self._spill_event_ops()
+        job_cycles = plan.total_steps * step_ops
+        if cfg.lazy_spill:
+            job_cycles += plan.spill_events * spill_ops
         # Persistent-subwarp launch: fill the device with warps and
         # let each subwarp drain a grid-strided query queue.
         sched = schedule_subwarps(
@@ -122,7 +123,6 @@ class SalobaKernel(ExtensionKernel):
         )
         warps = [WarpJob(cycles=c, tag=f"warp{i}") for i, c in enumerate(sched.warp_cycles)]
 
-        step_ops = self._step_ops()
         # Divergence between co-resident subwarp queues: lanes of
         # faster queues idle until the slowest drains.
         cnt.idle_thread_steps += int(sched.divergence_waste / step_ops * cfg.subwarp_size)
@@ -131,48 +131,41 @@ class SalobaKernel(ExtensionKernel):
         # (prologue), drains symmetrically (epilogue), and spends the
         # rest in the fully-occupied main loop; lazy-spill bursts are
         # their own phase.  Exposed to repro.obs as gpusim spans.
-        ramp_steps = main_steps = 0
-        for plan in plans:
-            for chunk in plan.chunks:
-                ramp = min(chunk.width, chunk.height) - 1 if chunk.width else 0
-                ramp_steps += ramp
-                main_steps += chunk.steps - 2 * ramp
+        # Integer sums first, then one float conversion each.
+        steps = int(plan.total_steps.sum())
+        ramp_steps = int(plan.ramp_steps.sum())
+        spills = int(plan.spill_events.sum()) if cfg.lazy_spill else 0
         phase_cycles = {
             "prologue": ramp_steps * step_ops,
-            "main": main_steps * step_ops,
+            "main": (steps - 2 * ramp_steps) * step_ops,
             "epilogue": ramp_steps * step_ops,
-            "spill": (
-                sum(p.spill_events for p in plans) * self._spill_event_ops()
-                if cfg.lazy_spill else 0.0
-            ),
+            "spill": spills * spill_ops if cfg.lazy_spill else 0.0,
         }
-        for job, plan in zip(jobs, plans):
-            cnt.cells += job.cells
-            cnt.blocks += plan.total_blocks
-            cnt.steps += plan.total_steps
-            cnt.busy_thread_steps += sum(c.busy_thread_steps for c in plan.chunks)
-            cnt.idle_thread_steps += sum(
-                c.idle_thread_steps(cfg.subwarp_size) for c in plan.chunks
-            )
-            cnt.spills += plan.spill_events if cfg.lazy_spill else 0
-            cnt.shared_bytes += plan.total_steps * 2 * BLOCK * cfg.cell_record_bytes
+        cnt.cells += int((ref_len * query_len).sum())
+        blocks = int(plan.total_blocks.sum())
+        cnt.blocks += blocks
+        cnt.steps += steps
+        cnt.busy_thread_steps += blocks
+        cnt.idle_thread_steps += int(plan.idle_thread_steps.sum())
+        cnt.spills += spills
+        cnt.shared_bytes += steps * 2 * BLOCK * cfg.cell_record_bytes
 
-            # Chunk-boundary rows: written once, read once.
-            boundary_bytes = plan.boundary_cells * cfg.cell_record_bytes
-            if cfg.lazy_spill:
-                pattern, size = AccessPattern.COALESCED, 128
-            else:
-                # Last-thread per-block stores: isolated 8-cell runs.
-                pattern, size = AccessPattern.PER_THREAD, BLOCK * cfg.cell_record_bytes
-            for _direction in range(2):
-                mem.access(boundary_bytes, access_size=size, pattern=pattern)
+        # Chunk-boundary rows: written once, read once.
+        boundary_bytes = plan.boundary_cells * cfg.cell_record_bytes
+        if cfg.lazy_spill:
+            pattern, size = AccessPattern.COALESCED, 128
+        else:
+            # Last-thread per-block stores: isolated 8-cell runs.
+            pattern, size = AccessPattern.PER_THREAD, BLOCK * cfg.cell_record_bytes
+        for _direction in range(2):
+            mem.access(boundary_bytes, access_size=size, pattern=pattern)
 
-            # Packed sequences: the reference strip words once per
-            # chunk row set, the query words once per chunk; warp-wide
-            # neighbouring threads fetch adjacent words -> coalesced.
-            g = plan.geometry
-            seq_bytes = g.r * 4 + len(plan.chunks) * g.q * 4
-            mem.access(seq_bytes, access_size=4, pattern=AccessPattern.COALESCED)
+        # Packed sequences: the reference strip words once per chunk
+        # row set, the query words once per chunk; warp-wide
+        # neighbouring threads fetch adjacent words -> coalesced.
+        g = plan.geometry
+        seq_bytes = g.r * 4 + plan.n_chunks * g.q * 4
+        mem.access(seq_bytes, access_size=4, pattern=AccessPattern.COALESCED)
 
         # Shuffle mode keeps only the spill staging area in shared
         # memory; the communication buffer lives in registers.
@@ -187,7 +180,7 @@ class SalobaKernel(ExtensionKernel):
             counters=cnt,
             shared=shared,
             n_launches=1,
-            init_bytes=len(jobs) * 16,  # result structs only
+            init_bytes=n * 16,  # result structs only
             fixed_overhead_s=cfg.fixed_overhead_s,
             phase_cycles=phase_cycles,
         )

@@ -31,9 +31,9 @@ class SubwarpSchedule:
 
     Attributes
     ----------
-    queues:
-        ``queues[k]`` is the list of job indices on subwarp queue k;
-        warp ``w`` owns queues ``w*spw .. (w+1)*spw - 1``.
+    order / dealt_to:
+        Job indices in dealing order, and the queue each of them
+        joined; warp ``w`` owns queues ``w*spw .. (w+1)*spw - 1``.
     queue_loads:
         Total cycle load per queue.
     warp_cycles:
@@ -42,7 +42,8 @@ class SubwarpSchedule:
         Cycle-lanes lost to intra-warp imbalance, summed over warps.
     """
 
-    queues: list[list[int]]
+    order: np.ndarray
+    dealt_to: np.ndarray
     queue_loads: np.ndarray
     warp_cycles: list[float]
     divergence_waste: float
@@ -51,9 +52,17 @@ class SubwarpSchedule:
     def n_warps(self) -> int:
         return len(self.warp_cycles)
 
+    @property
+    def queues(self) -> list[list[int]]:
+        """``queues[k]`` lists the job indices on queue k, in dealing order."""
+        queues: list[list[int]] = [[] for _ in range(self.queue_loads.size)]
+        for i, k in zip(self.order.tolist(), self.dealt_to.tolist()):
+            queues[k].append(i)
+        return queues
+
 
 def schedule_subwarps(
-    job_cycles: list[float],
+    job_cycles,
     subwarps_per_warp: int,
     max_warps: int,
     *,
@@ -64,7 +73,8 @@ def schedule_subwarps(
     Parameters
     ----------
     job_cycles:
-        Modeled cycles of each job on one subwarp.
+        Modeled cycles of each job on one subwarp (a sequence or a
+        float64 array).
     subwarps_per_warp:
         ``32 / subwarp_size``.
     max_warps:
@@ -78,35 +88,40 @@ def schedule_subwarps(
         raise ValueError("a warp hosts at least one subwarp")
     if max_warps < 1:
         raise ValueError("need at least one warp")
-    n = len(job_cycles)
+    cycles = np.asarray(job_cycles, dtype=np.float64)
+    n = cycles.size
     n_warps = min(max_warps, max(1, -(-n // subwarps_per_warp)))
     n_queues = n_warps * subwarps_per_warp
-    queues: list[list[int]] = [[] for _ in range(n_queues)]
     loads = np.zeros(n_queues, dtype=np.float64)
     if sort_jobs:
         # Stable descending sort: reversing an unstable ascending
         # argsort also reverses the order *within* ties, so equal-cost
         # jobs would deal onto queues in a platform-dependent order.
-        order = np.argsort(-np.asarray(job_cycles, dtype=np.float64), kind="stable")
-        for i in order:
+        order = np.argsort(-cycles, kind="stable")
+        dealt_to = np.empty(n, dtype=np.int64)
+        for d, i in enumerate(order.tolist()):
             k = int(np.argmin(loads))
-            queues[k].append(int(i))
-            loads[k] += job_cycles[int(i)]
+            dealt_to[d] = k
+            loads[k] += cycles[i]
     else:
-        for i, c in enumerate(job_cycles):
-            k = i % n_queues
-            queues[k].append(i)
-            loads[k] += c
-    warp_cycles: list[float] = []
+        # Round-robin: job i joins queue i % n_queues.  Adding one
+        # round of the deal at a time sums every queue in job order.
+        order = np.arange(n)
+        dealt_to = order % n_queues
+        for start in range(0, n, n_queues):
+            part = cycles[start : start + n_queues]
+            loads[: part.size] += part
+    per_warp = loads.reshape(n_warps, subwarps_per_warp)
+    warp_max = per_warp.max(axis=1)
+    # Each row reduces along its contiguous axis exactly as the row's
+    # own ``sum()`` would; warps then accumulate in order.
     waste = 0.0
-    for w in range(n_warps):
-        chunk = loads[w * subwarps_per_warp : (w + 1) * subwarps_per_warp]
-        m = float(chunk.max()) if chunk.size else 0.0
-        warp_cycles.append(m)
-        waste += float(m * chunk.size - chunk.sum())
+    for term in (warp_max * subwarps_per_warp - per_warp.sum(axis=1)).tolist():
+        waste += term
     return SubwarpSchedule(
-        queues=queues,
+        order=order,
+        dealt_to=dealt_to,
         queue_loads=loads,
-        warp_cycles=warp_cycles,
+        warp_cycles=warp_max.tolist(),
         divergence_waste=waste,
     )

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .counters import Counters
 from .device import DeviceProfile
 
@@ -37,21 +39,27 @@ class AccessPattern(Enum):
     PER_CELL = "per_cell"
 
 
-def amplified_bytes(useful: int, access_size: int, pattern: AccessPattern, granularity: int) -> int:
+def amplified_bytes(useful, access_size: int, pattern: AccessPattern, granularity: int):
     """Bytes the DRAM moves to deliver *useful* bytes.
 
     For coalesced access the only waste is the final partial
     transaction; for isolated patterns every ``access_size``-byte
-    access moves a full transaction.
+    access moves a full transaction.  *useful* may be an int64 array
+    of independent accesses; the result is then per entry, and
+    entries ``<= 0`` move nothing.
     """
-    if useful <= 0:
-        return 0
+    useful = np.maximum(useful, 0) if isinstance(useful, np.ndarray) else max(useful, 0)
     if pattern is AccessPattern.COALESCED:
         return -(-useful // granularity) * granularity
     # Isolated accesses: each access moves whole transactions.
     per_access = -(-access_size // granularity) * granularity
     n_accesses = -(-useful // access_size)
     return n_accesses * per_access
+
+
+def _total(x) -> int:
+    """Integer total of a scalar or of an int64 array."""
+    return int(np.add.reduce(x)) if isinstance(x, np.ndarray) else int(x)
 
 
 @dataclass
@@ -98,7 +106,7 @@ class MemoryModel:
 
     def access(
         self,
-        useful_bytes: int,
+        useful_bytes,
         *,
         access_size: int,
         pattern: AccessPattern,
@@ -108,18 +116,23 @@ class MemoryModel:
 
         ``count`` overrides the inferred number of accesses (useful
         when the caller already knows it); otherwise it is
-        ``ceil(useful / access_size)``.
+        ``ceil(useful / access_size)``.  *useful_bytes* may be an int64
+        array of independent accesses (one per job, say): entries
+        ``<= 0`` contribute nothing and the totals are summed in
+        integers, so one call records a whole launch.
         """
-        if useful_bytes <= 0:
-            return
         g = self.device.access_granularity
-        moved = amplified_bytes(useful_bytes, access_size, pattern, g)
-        n_tx = moved // g
-        self.counters.global_useful_bytes += int(useful_bytes)
-        self.counters.global_transferred_bytes += int(moved)
-        self.counters.global_transactions += int(n_tx)
+        if isinstance(useful_bytes, np.ndarray):
+            useful_bytes = np.maximum(useful_bytes, 0)
+        elif useful_bytes <= 0:
+            return
+        moved = _total(amplified_bytes(useful_bytes, access_size, pattern, g))
+        self.counters.global_useful_bytes += _total(useful_bytes)
+        self.counters.global_transferred_bytes += moved
+        # Every access moves whole transactions, so the total divides.
+        self.counters.global_transactions += moved // g
         if pattern is not AccessPattern.COALESCED:
-            n_acc = count if count is not None else -(-useful_bytes // access_size)
+            n_acc = count if count is not None else _total(-(-useful_bytes // access_size))
             self.counters.noncoalesced_transactions += int(n_acc)
             if pattern is AccessPattern.PER_THREAD:
                 self.counters.scattered_transactions += int(n_acc)

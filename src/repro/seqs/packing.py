@@ -52,21 +52,26 @@ def pack(seq, bits: int = 4, *, rng: np.random.Generator | None = None) -> np.nd
     ``i // (32//bits)``.  With ``bits == 2`` any ``N`` is substituted
     with a random unambiguous base (CUSHAW2-GPU semantics); pass *rng*
     for reproducibility.  Tail slots beyond the sequence end are zero.
+
+    Codes are combined a byte at a time (``8 // bits`` per byte) and
+    the byte buffer is read as little-endian words, so the word values
+    do not depend on the host's byte order.
     """
-    codes = encode(seq).astype(np.uint32)
+    codes = encode(seq)
     if bits == 2:
         n_mask = codes == N
         if n_mask.any():
             rng = rng or np.random.default_rng(0)
             codes = codes.copy()
             codes[n_mask] = rng.integers(0, len(BASES), size=int(n_mask.sum()))
-    per_word = 32 // bits
     n_words = packed_words(codes.size, bits)
-    padded = np.zeros(n_words * per_word, dtype=np.uint32)
+    padded = np.zeros(n_words * (32 // bits), dtype=np.uint8)
     padded[: codes.size] = codes
-    lanes = padded.reshape(n_words, per_word)
-    shifts = (np.arange(per_word, dtype=np.uint32) * bits).astype(np.uint32)
-    return np.bitwise_or.reduce(lanes << shifts, axis=1).astype(np.uint32)
+    per_byte = 8 // bits
+    packed = padded[::per_byte]
+    for lane in range(1, per_byte):
+        packed = packed | (padded[lane::per_byte] << np.uint8(lane * bits))
+    return np.ascontiguousarray(packed).view("<u4").astype(np.uint32, copy=False)
 
 
 def unpack(words: np.ndarray, n_bases: int, bits: int = 4) -> np.ndarray:

@@ -68,6 +68,25 @@ class TestPackUnpack:
     def test_empty(self):
         assert pack(np.zeros(0, np.uint8), 4).size == 0
 
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_words_match_shift_formula(self, rng, bits):
+        codes = rng.integers(0, 4 if bits == 2 else 5, 77).astype(np.uint8)
+        per_word = 32 // bits
+        want = [
+            sum(int(c) << (bits * k) for k, c in enumerate(codes[w * per_word:(w + 1) * per_word]))
+            for w in range(packed_words(codes.size, bits))
+        ]
+        got = pack(codes, bits)
+        assert got.dtype == np.uint32 and got.tolist() == want
+
+    def test_2bit_n_takes_rng_draws_in_order(self):
+        codes = encode("ANGNTN")
+        expect = codes.copy()
+        expect[codes == 4] = np.random.default_rng(9).integers(0, 4, size=3)
+        out = unpack(pack(codes, 2, rng=np.random.default_rng(9)), codes.size, 2)
+        assert (out == expect).all()
+        assert (codes == encode("ANGNTN")).all()  # the input is not modified
+
 
 class TestPackBatch:
     def test_batch_layout(self, rng):

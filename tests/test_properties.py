@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, grid_sweep, nw_score, sw_align, sw_align_slow
-from repro.core import SalobaConfig, saloba_extend_exact
-from repro.core.layout import plan_job
+from repro.core import SUBWARP_SIZES, SalobaConfig, saloba_extend_exact
+from repro.core.layout import ChunkPlan, plan_job
+from repro.align.blocks import BLOCK
 from repro.align.grid import job_geometry
 from repro.seqs import pack, reverse_complement, unpack
 from repro.seeding import FMIndex, suffix_array
@@ -107,6 +108,70 @@ class TestSalobaDataflowProperties:
         for c in plan.chunks:
             assert c.busy_thread_steps + c.idle_thread_steps(s) == c.steps * s
             assert 1 <= c.height <= s
+
+
+def chunk_walk(geometry, s: int, band: int = 0) -> dict:
+    """Oracle for :func:`plan_job`: cut the block rows into chunks one
+    at a time and sum each total over the chunk list."""
+    width = geometry.q
+    if band > 0:
+        width = min(geometry.q, 2 * -(-band // BLOCK) + 1)
+    chunks = []
+    row = 0
+    while row < geometry.r:
+        height = min(s, geometry.r - row)
+        chunks.append(ChunkPlan(height=height, width=width))
+        row += height
+    inner = max(len(chunks) - 1, 0)
+    return {
+        "chunks": tuple(chunks),
+        "n_chunks": len(chunks),
+        "total_steps": sum(c.steps for c in chunks),
+        "total_blocks": sum(c.busy_thread_steps for c in chunks),
+        "idle_thread_steps": sum(c.idle_thread_steps(s) for c in chunks),
+        "ramp_steps": sum(min(c.width, c.height) - 1 if c.width else 0 for c in chunks),
+        "boundary_cells": inner * min(geometry.query_len, width * BLOCK if chunks else 0),
+        "spill_events": inner * -(-width // s) if inner else 0,
+    }
+
+
+_PLAN_TOTALS = ("n_chunks", "total_steps", "total_blocks", "idle_thread_steps",
+                "ramp_steps", "boundary_cells", "spill_events")
+
+
+class TestClosedFormPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 5000),
+        n=st.integers(0, 5000),
+        s=st.sampled_from(SUBWARP_SIZES),
+        band=st.integers(0, 200),
+    )
+    def test_scalar_plan_equals_chunk_walk(self, m, n, s, band):
+        geometry = job_geometry(m, n)
+        plan = plan_job(geometry, s, band)
+        walk = chunk_walk(geometry, s, band)
+        for name in _PLAN_TOTALS:
+            got = getattr(plan, name)
+            assert type(got) is int and got == walk[name], name
+        assert plan.chunks == walk["chunks"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+                      min_size=0, max_size=40),
+        s=st.sampled_from(SUBWARP_SIZES),
+        band=st.integers(0, 200),
+    )
+    def test_batch_plan_equals_stacked_scalar_plans(self, dims, s, band):
+        ref_len = np.array([m for m, _ in dims], dtype=np.int64)
+        query_len = np.array([n for _, n in dims], dtype=np.int64)
+        batch = plan_job(job_geometry(ref_len, query_len), s, band)
+        scalars = [plan_job(job_geometry(m, n), s, band) for m, n in dims]
+        for name in _PLAN_TOTALS:
+            got = getattr(batch, name)
+            assert got.dtype == np.int64, name
+            assert got.tolist() == [getattr(p, name) for p in scalars], name
 
 
 class TestPackingProperties:
