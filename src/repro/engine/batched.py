@@ -2,29 +2,51 @@
 
 The reference engine walks one Python wavefront per job; this engine
 scores an entire micro-batch at once.  All pairs are padded into one
-``batch x lane`` state array (lane ``i`` holds cell ``(i, d - i)`` of
-the current anti-diagonal ``d``), so each step of the affine-gap
-recurrence (Eqs. 1-3) is a handful of ``np.maximum``/gather passes
-over the whole batch — AnySeq/GPU's cross-sequence batching idea, with
-the lazy-F observation that the recurrence vectorizes cleanly once the
-batch is one dense array.
+``lane x batch`` state array (lane ``i`` holds cell ``(i, d - i)`` of
+the current anti-diagonal ``d`` for every pair), so each step of the
+affine-gap recurrence (Eqs. 1-3) is a handful of in-place
+``np.maximum``/gather passes over the diagonal's live lanes, one
+contiguous block of rows — AnySeq/GPU's cross-sequence batching idea,
+with the lazy-F observation that the recurrence vectorizes cleanly
+once the batch is one dense array.
 
-Padding discipline:
+One kernel, :func:`_sweep_group`, serves both the exact ``batched``
+engine and the band-restricted ``banded`` engine
+(:mod:`repro.engine.variants`): an optional per-pair band cuts each
+diagonal to the union of the group's band windows, and a tie-break
+argument picks anti-diagonal or row-major first-maximum endpoints.
+Each diagonal costs O(batch x live lanes), never O(batch x lanes).
+The sweep rests on five invariants:
 
-* reference/query tails beyond a pair's real length hold the ``PAD``
-  code, whose substitution score is :data:`~repro.align.scoring.NEG_INF`
-  — a padded cell can never start or extend an optimal local alignment;
-* lanes outside a pair's valid band are forced back to the local-
-  alignment boundary (``H = 0``, ``E = F = NEG_INF``) after every
-  diagonal, exactly the state the per-pair sweep keeps there;
-* arithmetic is int64, so ``NEG_INF`` survives repeated ``- beta``
-  without wrapping.
+1. **Padded cells need no mask.**  A padded cell (``i > m`` or
+   ``j > n`` for its pair) only feeds cells with a larger ``i`` or
+   ``j``, i.e. other padded cells, so real cells never read it.  Its
+   diagonal arm reads the ``PAD`` code, whose substitution score is
+   :data:`~repro.align.scoring.NEG_INF`, and its E/F arms lose
+   ``alpha``, so its ``H`` is 0 or strictly below the best ``H`` of
+   the diagonals before it: it can neither beat nor tie the best
+   cell, and best-cell tracking may scan it.
+2. **No fill.**  Lanes a diagonal does not compute are never read
+   stale: lane 0 and lane ``d - 1`` keep the local boundary
+   (``H = 0``, ``E = F = NEG_INF``) every buffer is created with, and
+   the one lane a banded window can leave behind is reset to that
+   boundary before it is read.
+3. **Narrow state.**  ``H >= 0`` always and ``E``, ``F`` are at least
+   ``-alpha`` after their first write, so int32 is exact whenever the
+   scheme's magnitudes and ``match * min(M, N)`` stay well inside its
+   range (:func:`_state_dtype`); otherwise the state is int64.
+4. **Contiguous substitution gather.**  Queries are reversed once, so
+   a diagonal's query codes are one contiguous slice and the
+   substitution lookup is one ``np.take`` on the flattened matrix.
+5. **In place.**  ``E`` updates on its own lanes, ``F`` and ``H``
+   rotate through two and three preallocated buffers, and every
+   temporary is a contiguous prefix of a preallocated scratch buffer.
 
-Scores *and* end coordinates are bit-identical to
-:func:`repro.align.antidiagonal.sw_align` (same first-maximum
-tie-break: smallest diagonal, then smallest reference index); scores
-are bit-identical to the row-scan oracle ``sw_align_slow`` and to the
-reference engine.
+The exact sweep keeps the first maximum in anti-diagonal order
+(smallest diagonal, then smallest reference index), so scores *and*
+end coordinates are bit-identical to
+:func:`repro.align.antidiagonal.sw_align`; scores are bit-identical to
+the row-scan oracle ``sw_align_slow`` and to the reference engine.
 
 Very large or very ragged batches are split into length-coherent
 sub-batches under a cell budget (``max_state_cells``) so short pairs
@@ -45,108 +67,177 @@ __all__ = ["BatchedWavefrontEngine", "batched_sw_align"]
 
 _EMPTY = AlignmentResult(score=0, ref_end=0, query_end=0)
 
+#: Every value the sweep forms must stay below this in magnitude for
+#: the int32 state to be chosen (half the int32 range: headroom).
+_INT32_SAFE = 2**30
+
+
+def _state_dtype(scoring: ScoringScheme, m_max: int, n_max: int) -> type:
+    """int32 when the sweep cannot leave ``+-2**30``, else int64.
+
+    ``H`` is never negative and peaks below the best substitution score
+    times ``min(M, N) + 1``; ``E``, ``F`` and the diagonal arm bottom
+    out at the most negative matrix entry or ``-alpha``, minus one
+    ``beta``.
+    """
+    sub = scoring.matrix
+    peak = max(int(sub.max()), 0) * (min(m_max, n_max) + 1)
+    floor = min(int(sub.min()), -scoring.alpha) - scoring.beta
+    return np.int32 if max(peak, -floor) < _INT32_SAFE else np.int64
+
 
 def _sweep_group(
     refs: list[np.ndarray],
     queries: list[np.ndarray],
     scoring: ScoringScheme,
+    bands: list[int] | None = None,
+    *,
+    row_major_ties: bool = False,
 ) -> list[AlignmentResult]:
-    """Score one padded sub-batch with the 3-D anti-diagonal sweep."""
+    """Score one padded sub-batch with the anti-diagonal sweep.
+
+    *bands* (one per pair) restricts pair ``b`` to ``|i - j| <=
+    bands[b]``: each diagonal is cut to the union of the group's band
+    windows, and inside it a pair's out-of-band ``H`` is forced to 0.
+    That is score-preserving for the in-band cells: a cell's diagonal
+    predecessor shares its ``|i - j|``, so only the E/F arms cross the
+    band edge, and a forced cell feeds them ``0 - alpha`` (an out-of-
+    band E/F reaching an in-band cell comes from a further-out forced
+    ``H`` as well), which the local zero floor dominates and whose
+    propagation the in-band ``H - alpha`` arm dominates.  In-band
+    ``H`` values are thus bit-identical to
+    :func:`~repro.align.banded.banded_sw_align`'s.  A lane the window
+    leaves behind holds a stale value from an earlier diagonal in the
+    rotating buffers, so it is reset to the boundary before it is read.
+
+    With *row_major_ties* the best cell is the smallest ``(i, j)``
+    row-major among maxima (the row scan's tie-break, as
+    ``banded_sw_align`` keeps it): on an equal score, a candidate on a
+    later diagonal wins only with a strictly smaller reference row.
+    Otherwise the first maximum in anti-diagonal order wins
+    (``sw_align``'s tie-break).
+    """
     B = len(refs)
-    m = np.array([r.size for r in refs], dtype=np.int64)
-    n = np.array([q.size for q in queries], dtype=np.int64)
-    M = int(m.max())
-    N = int(n.max())
-    r_pad = np.full((B, M), PAD, dtype=np.intp)
-    q_pad = np.full((B, N), PAD, dtype=np.intp)
+    M = max(r.size for r in refs)
+    N = max(q.size for q in queries)
+    dtype = _state_dtype(scoring, M, N)
+    K = scoring.matrix.shape[1]
+    sub = scoring.matrix.astype(dtype).ravel()
+    alpha = scoring.alpha
+    beta = scoring.beta
+
+    # State is lane-major, so a diagonal's live lanes lo..hi are one
+    # contiguous block of rows.  Cell (i, j) reads r[i - 1] (pre-scaled
+    # to its matrix row) and q[j - 1] = q_rev[N - j]: on diagonal d the
+    # lanes read the contiguous runs r_row[lo - 1 : hi] and
+    # q_rev[N - d + lo : N - d + hi + 1].
+    r_row = np.full((M, B), PAD, dtype=np.intp)
+    q_rev = np.full((N, B), PAD, dtype=np.intp)
     for b, (r, q) in enumerate(zip(refs, queries)):
-        r_pad[b, : r.size] = r
-        q_pad[b, : q.size] = q
-    sub = scoring.matrix.astype(np.int64)
-    alpha = np.int64(scoring.alpha)
-    beta = np.int64(scoring.beta)
+        r_row[: r.size, b] = r
+        q_rev[N - q.size :, b] = q[::-1]
+    r_row *= K
 
-    # Lane i of row b holds cell (i, d - i); lane 0 is the j-axis
-    # boundary (H = 0, E/F = -inf for local alignment), kept implicit
-    # by the fill values below.
-    H_prev2 = np.zeros((B, M + 1), dtype=np.int64)
-    H_prev = np.zeros((B, M + 1), dtype=np.int64)
-    E_prev = np.full((B, M + 1), NEG_INF, dtype=np.int64)
-    F_prev = np.full((B, M + 1), NEG_INF, dtype=np.int64)
+    if bands is None:
+        b_max = b_min = M + N
+        band_ok = None
+    else:
+        band = np.asarray(bands, dtype=np.int64)
+        b_max = min(int(band.max()), M + N)
+        b_min = int(band.min())
+        # band_ok[t, b]: i - j = t - (M + N) lies in pair b's band.
+        offset = np.abs(np.arange(2 * (M + N) + 1) - (M + N))
+        band_ok = offset[:, None] <= band[None, :]
 
-    best = np.zeros(B, dtype=np.int64)
+    # Lane 0 and the never-yet-written lanes hold the local boundary.
+    H = [np.zeros((M + 1, B), dtype=dtype) for _ in range(3)]
+    F = [np.full((M + 1, B), NEG_INF, dtype=dtype) for _ in range(2)]
+    E = np.full((M + 1, B), NEG_INF, dtype=dtype)
+    width = min(M, N, b_max + 1) + 1
+    t_buf = np.empty(width * B, dtype=dtype)
+    s_buf = np.empty(width * B, dtype=dtype)
+    idx_buf = np.empty(width * B, dtype=np.intp)
+    zeros = np.zeros(width * B, dtype=dtype)  # faster than a scalar 0
+
+    cols = np.arange(B)
+    best = np.zeros(B, dtype=dtype)
     best_i = np.zeros(B, dtype=np.int64)
-    best_j = np.zeros(B, dtype=np.int64)
-    m_col = m[:, None]
-    n_col = n[:, None]
-    lane_i = np.arange(M + 1, dtype=np.int64)
-
-    for d in range(2, M + N + 1):
-        lo = max(1, d - N)
-        hi = min(M, d - 1)  # inclusive
+    best_d = np.zeros(B, dtype=np.int64)
+    prev_lo, prev_hi = 1, 0
+    d_end = min(M + N, 2 * min(M, N) + b_max)
+    for d in range(2, d_end + 1):
+        H0, H1, H2 = H[(d - 2) % 3], H[(d - 1) % 3], H[d % 3]
+        F1, F2 = F[(d - 1) % 2], F[d % 2]
+        lo = max(1, d - N, (d - b_max + 1) // 2)
+        hi = min(M, d - 1, (d + b_max) // 2)
         if lo > hi:
+            prev_lo, prev_hi = lo, hi
             continue
-        sl = slice(lo, hi + 1)
-        i_vals = lane_i[sl]
-        # E(i, j) from (i, j-1): same lane on diagonal d-1.
-        e_new = np.maximum(H_prev[:, sl] - alpha, E_prev[:, sl] - beta)
-        # F(i, j) from (i-1, j): lane i-1 on diagonal d-1.
-        f_new = np.maximum(
-            H_prev[:, lo - 1 : hi] - alpha, F_prev[:, lo - 1 : hi] - beta
-        )
-        # H(i-1, j-1) + S(i, j): lane i-1 on diagonal d-2.  The query
-        # gather runs j-1 = d-i-1 across the slice; both gathers stay
-        # in range because the slice bounds clamp i to [d-N, d-1].
-        s = sub[r_pad[:, lo - 1 : hi], q_pad[:, d - i_vals - 1]]
-        h_diag = H_prev2[:, lo - 1 : hi] + s
-        h_new = np.maximum(np.maximum(e_new, f_new), np.maximum(h_diag, 0))
+        if lo > 1 and not prev_lo <= lo - 1 <= prev_hi:
+            # Lane lo - 1 left the banded window on an earlier diagonal
+            # and still holds that diagonal's value.
+            H1[lo - 1] = 0
+            F1[lo - 1] = NEG_INF
+        prev_lo, prev_hi = lo, hi
+        w = hi - lo + 1
+        k0 = N - d + lo
 
-        # Mask lanes outside a pair's own band back to the boundary
-        # state the per-pair sweep keeps there (ragged batches only
-        # share the widest pair's slice).
-        valid = (i_vals[None, :] <= m_col) & ((d - i_vals)[None, :] <= n_col)
-        h_new = np.where(valid, h_new, 0)
-        e_new = np.where(valid, e_new, NEG_INF)
-        f_new = np.where(valid, f_new, NEG_INF)
+        # H(i, j-1) - alpha and H(i-1, j) - alpha share one pass.
+        t = t_buf[: (w + 1) * B].reshape(w + 1, B)
+        np.subtract(H1[lo - 1 : hi + 1], alpha, out=t)
+        e = E[lo : hi + 1]
+        np.subtract(e, beta, out=e)
+        np.maximum(e, t[1:], out=e)
+        f = F2[lo : hi + 1]
+        np.subtract(F1[lo - 1 : hi], beta, out=f)
+        np.maximum(f, t[:w], out=f)
+        idx = idx_buf[: w * B].reshape(w, B)
+        np.add(r_row[lo - 1 : hi], q_rev[k0 : k0 + w], out=idx)
+        s = s_buf[: w * B].reshape(w, B)
+        np.take(sub, idx, out=s, mode="wrap")  # fastest mode; all in range
+        np.add(s, H0[lo - 1 : hi], out=s)
+        np.maximum(s, zeros[: w * B].reshape(w, B), out=s)
+        h = H2[lo : hi + 1]
+        np.maximum(e, f, out=h)
+        np.maximum(h, s, out=h)
 
-        # Roll state buffers (reuse the retiring d-2 buffer).
-        H_prev2, H_prev = H_prev, H_prev2
-        H_prev.fill(0)
-        H_prev[:, sl] = h_new
-        E_prev.fill(NEG_INF)
-        E_prev[:, sl] = e_new
-        F_prev.fill(NEG_INF)
-        F_prev[:, sl] = f_new
+        # Force H to 0 on out-of-band cells, unless every lane of the
+        # diagonal lies in every pair's band.
+        if max(d - 2 * lo, 2 * hi - d) > b_min:
+            t0 = 2 * lo - d + M + N
+            np.multiply(h, band_ok[t0 : t0 + 2 * w - 1 : 2], out=h)
 
-        # First-maximum tracking, batch-wide: update only on a strict
-        # improvement (smallest diagonal wins), argmax takes the first
-        # occurrence (smallest reference index wins).  Invalid lanes
-        # hold 0 and can never beat a strictly positive maximum.
-        dmax = h_new.max(axis=1)
-        improved = dmax > best
-        if improved.any():
-            pos = h_new.argmax(axis=1) + lo
-            best_i = np.where(improved, pos, best_i)
-            best_j = np.where(improved, d - pos, best_j)
-            best = np.where(improved, dmax, best)
+        pos = h.argmax(axis=0)
+        dmax = h[pos, cols]
+        take = dmax > best
+        if row_major_ties:
+            take |= (dmax == best) & (pos + lo < best_i)
+        if take.any():
+            np.copyto(best_i, pos + lo, where=take)
+            np.copyto(best_d, d, where=take)
+            np.maximum(best, dmax, out=best)
 
     return [
-        AlignmentResult(score=int(best[b]), ref_end=int(best_i[b]), query_end=int(best_j[b]))
+        AlignmentResult(
+            score=int(best[b]), ref_end=int(best_i[b]),
+            query_end=int(best_d[b] - best_i[b]),
+        )
         for b in range(B)
     ]
 
 
-def batched_sw_align(
+def _align_batch(
     pairs,
-    scoring: ScoringScheme | None = None,
+    scoring: ScoringScheme,
+    max_state_cells: int,
+    bands: list[int] | None = None,
     *,
-    max_state_cells: int = 1 << 22,
+    row_major_ties: bool = False,
 ) -> list[AlignmentResult]:
-    """Smith-Waterman results for a batch of ``(ref, query)`` code pairs.
+    """Regroup *pairs* into length-coherent sub-batches and sweep them.
 
     Pairs with an empty side short-circuit to the empty alignment.
-    Results come back in submission order, but internally the batch is
-    regrouped into length-coherent sub-batches: every pair in a group
+    Results come back in submission order, but every pair in a group
     pays for the *widest* pair's lanes and the *longest* pair's
     diagonals, so mixing a 250 bp read into an 8 kbp group would waste
     most of the sweep on padding.  Pairs are therefore sorted by
@@ -156,7 +247,6 @@ def batched_sw_align(
     lanes) past *max_state_cells*.  The regrouping is deterministic
     and invisible in the results.
     """
-    scoring = scoring or ScoringScheme()
     results: list[AlignmentResult | None] = [None] * len(pairs)
     items: list[tuple[int, np.ndarray, np.ndarray]] = []
     for i, (ref, query) in enumerate(pairs):
@@ -168,40 +258,47 @@ def batched_sw_align(
         items.append((i, r, q))
     items.sort(key=lambda t: (t[1].size + t[2].size, t[0]))
 
-    group_idx: list[int] = []
-    group_r: list[np.ndarray] = []
-    group_q: list[np.ndarray] = []
+    groups: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
     group_max_m = 0
     group_min_extent = 0
-
-    def flush() -> None:
-        nonlocal group_max_m
-        if not group_idx:
-            return
-        for i, res in zip(group_idx, _sweep_group(group_r, group_q, scoring)):
-            results[i] = res
-        group_idx.clear()
-        group_r.clear()
-        group_q.clear()
-        group_max_m = 0
-
-    for i, r, q in items:
+    for item in items:
+        r, q = item[1], item[2]
         extent = r.size + q.size
         new_max = max(group_max_m, r.size)
-        if group_idx and (
+        if not groups or (
             extent > 2 * group_min_extent
-            or (len(group_idx) + 1) * (new_max + 1) > max_state_cells
+            or (len(groups[-1]) + 1) * (new_max + 1) > max_state_cells
         ):
-            flush()
-            new_max = r.size
-        if not group_idx:
+            groups.append([])
             group_min_extent = extent
-        group_idx.append(i)
-        group_r.append(r)
-        group_q.append(q)
+            new_max = r.size
+        groups[-1].append(item)
         group_max_m = new_max
-    flush()
+
+    for group in groups:
+        swept = _sweep_group(
+            [r for _, r, _ in group], [q for _, _, q in group], scoring,
+            None if bands is None else [bands[i] for i, _, _ in group],
+            row_major_ties=row_major_ties,
+        )
+        for (i, _, _), res in zip(group, swept):
+            results[i] = res
     return results  # type: ignore[return-value]
+
+
+def batched_sw_align(
+    pairs,
+    scoring: ScoringScheme | None = None,
+    *,
+    max_state_cells: int = 1 << 22,
+) -> list[AlignmentResult]:
+    """Smith-Waterman results for a batch of ``(ref, query)`` code pairs.
+
+    Results come back in submission order, bit-identical (endpoints
+    included) to :func:`repro.align.antidiagonal.sw_align` per pair;
+    see :func:`_align_batch` for the length-coherent regrouping.
+    """
+    return _align_batch(list(pairs), scoring or ScoringScheme(), max_state_cells)
 
 
 @register_engine

@@ -10,10 +10,11 @@ the registry like any exact engine:
 ``banded``
     Band-restricted local Smith-Waterman (Discussion VII-B).  Bounded
     (``bound_params=("band",)``): cells with ``|i - j| > band`` are
-    unreachable.  Implemented as a **batched** anti-diagonal sweep
-    reusing the ``repro.engine.batched`` lane machinery with a
-    per-pair band mask; results are bit-identical — endpoints
-    included — to :func:`repro.align.banded.banded_sw_align`.
+    unreachable.  Runs on the ``batched`` engine's anti-diagonal
+    kernel with a per-pair band: each diagonal is cut to the union of
+    the group's band windows, so a narrow band sweeps only its own
+    lanes.  Results are bit-identical — endpoints included — to
+    :func:`repro.align.banded.banded_sw_align`.
 ``xdrop``
     Anchored X-drop seed extension (``bound_params=("x",)``), the
     semantics of BWA-MEM's ``ksw_extend``; per-pair wrapper over
@@ -40,16 +41,15 @@ tie-break caveat applies, as for ``batched``).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..align.antidiagonal import nw_score
-from ..align.banded import band_for_error_rate, banded_sw_align
+from ..align.banded import band_for_error_rate
 from ..align.matrix import AlignmentResult
 from ..align.pruning import pruned_grid_sweep
-from ..align.scoring import NEG_INF, PAD, ScoringScheme
+from ..align.scoring import ScoringScheme
 from ..align.semiglobal import semiglobal_align
 from ..align.xdrop import xdrop_extend
 from .base import EngineCapabilities, ExecutionEngine, register_engine
+from .batched import _align_batch
 
 __all__ = [
     "BandedEngine",
@@ -59,115 +59,6 @@ __all__ = [
     "PrunedEngine",
     "batched_banded_sw_align",
 ]
-
-_EMPTY = AlignmentResult(score=0, ref_end=0, query_end=0)
-
-
-def _banded_sweep_group(
-    refs: list[np.ndarray],
-    queries: list[np.ndarray],
-    bands: list[int],
-    scoring: ScoringScheme,
-) -> list[AlignmentResult]:
-    """Score one padded sub-batch of band-restricted pairs.
-
-    Same ``batch x lane`` layout as the exact batched sweep (lane
-    ``i`` holds cell ``(i, d - i)`` of anti-diagonal ``d``), with one
-    extra mask: lanes outside a pair's band ``|i - j| <= band`` are
-    forced back to the local boundary state (``H = 0``,
-    ``E = F = NEG_INF``) after every diagonal.  That forcing is
-    *score-preserving* for the in-band cells: a cell's diagonal
-    predecessor shares its ``|i - j|`` and is therefore never
-    out-of-band, so only the E/F arms can cross the band edge — and
-    they enter as ``max(0 - alpha, NEG_INF - beta) < 0``, which the
-    local zero floor dominates and whose propagation is dominated by
-    the in-band ``H - alpha`` arm.  In-band ``H`` values are thus bit-
-    identical to :func:`~repro.align.banded.banded_sw_align`'s.
-
-    Best-cell tracking reproduces the row-scan's tie-break (smallest
-    ``(i, j)`` row-major among maxima) rather than the anti-diagonal
-    first-maximum one, so *endpoints* match the per-pair reference
-    too: on an equal score, a candidate on a later diagonal only wins
-    with a strictly smaller reference row.
-    """
-    B = len(refs)
-    m = np.array([r.size for r in refs], dtype=np.int64)
-    n = np.array([q.size for q in queries], dtype=np.int64)
-    M = int(m.max())
-    N = int(n.max())
-    r_pad = np.full((B, M), PAD, dtype=np.intp)
-    q_pad = np.full((B, N), PAD, dtype=np.intp)
-    for b, (r, q) in enumerate(zip(refs, queries)):
-        r_pad[b, : r.size] = r
-        q_pad[b, : q.size] = q
-    sub = scoring.matrix.astype(np.int64)
-    alpha = np.int64(scoring.alpha)
-    beta = np.int64(scoring.beta)
-
-    H_prev2 = np.zeros((B, M + 1), dtype=np.int64)
-    H_prev = np.zeros((B, M + 1), dtype=np.int64)
-    E_prev = np.full((B, M + 1), NEG_INF, dtype=np.int64)
-    F_prev = np.full((B, M + 1), NEG_INF, dtype=np.int64)
-
-    best = np.zeros(B, dtype=np.int64)
-    best_i = np.zeros(B, dtype=np.int64)
-    best_j = np.zeros(B, dtype=np.int64)
-    m_col = m[:, None]
-    n_col = n[:, None]
-    band_col = np.array(bands, dtype=np.int64)[:, None]
-    lane_i = np.arange(M + 1, dtype=np.int64)
-
-    for d in range(2, M + N + 1):
-        lo = max(1, d - N)
-        hi = min(M, d - 1)  # inclusive
-        if lo > hi:
-            continue
-        sl = slice(lo, hi + 1)
-        i_vals = lane_i[sl]
-        e_new = np.maximum(H_prev[:, sl] - alpha, E_prev[:, sl] - beta)
-        f_new = np.maximum(
-            H_prev[:, lo - 1 : hi] - alpha, F_prev[:, lo - 1 : hi] - beta
-        )
-        s = sub[r_pad[:, lo - 1 : hi], q_pad[:, d - i_vals - 1]]
-        h_diag = H_prev2[:, lo - 1 : hi] + s
-        h_new = np.maximum(np.maximum(e_new, f_new), np.maximum(h_diag, 0))
-
-        # In-matrix AND in-band: |i - j| = |2i - d| <= band per pair.
-        valid = (
-            (i_vals[None, :] <= m_col)
-            & ((d - i_vals)[None, :] <= n_col)
-            & (np.abs(2 * i_vals - d)[None, :] <= band_col)
-        )
-        h_new = np.where(valid, h_new, 0)
-        e_new = np.where(valid, e_new, NEG_INF)
-        f_new = np.where(valid, f_new, NEG_INF)
-
-        H_prev2, H_prev = H_prev, H_prev2
-        H_prev.fill(0)
-        H_prev[:, sl] = h_new
-        E_prev.fill(NEG_INF)
-        E_prev[:, sl] = e_new
-        F_prev.fill(NEG_INF)
-        F_prev[:, sl] = f_new
-
-        # Row-major tie-break: strict improvement always wins; an
-        # equal score on this (later) diagonal wins only with a
-        # smaller reference row — equal rows mean a larger j here.
-        # Forced/invalid lanes hold 0 and never beat best > 0.
-        dmax = h_new.max(axis=1)
-        pos = h_new.argmax(axis=1) + lo
-        improved = dmax > best
-        tied = (dmax == best) & (best > 0) & (pos < best_i)
-        take = improved | tied
-        if take.any():
-            best_i = np.where(take, pos, best_i)
-            best_j = np.where(take, d - pos, best_j)
-            best = np.where(improved, dmax, best)
-
-    return [
-        AlignmentResult(score=int(best[b]), ref_end=int(best_i[b]), query_end=int(best_j[b]))
-        for b in range(B)
-    ]
 
 
 def batched_banded_sw_align(
@@ -181,68 +72,22 @@ def batched_banded_sw_align(
 
     *bands* gives each pair its own band width.  Results come back in
     submission order, bit-identical (endpoints included) to calling
-    :func:`~repro.align.banded.banded_sw_align` per pair; internally
-    the batch is regrouped into length-coherent sub-batches under the
-    same state-cell budget discipline as the exact batched sweep.
+    :func:`~repro.align.banded.banded_sw_align` per pair.  The pairs
+    run through the exact batched sweep's kernel and regrouping
+    (:func:`repro.engine.batched._align_batch`) with per-pair bands,
+    each diagonal cut to the union of its group's band windows, and
+    the row scan's tie-break.
     """
-    scoring = scoring or ScoringScheme()
     pairs = list(pairs)
-    bands = list(bands)
+    bands = [int(b) for b in bands]
     if len(bands) != len(pairs):
         raise ValueError("need exactly one band per pair")
-    results: list[AlignmentResult | None] = [None] * len(pairs)
-    items: list[tuple[int, np.ndarray, np.ndarray, int]] = []
-    for i, (ref, query) in enumerate(pairs):
-        band = int(bands[i])
-        if band < 0:
-            raise ValueError("band must be non-negative")
-        r = np.asarray(ref, dtype=np.uint8)
-        q = np.asarray(query, dtype=np.uint8)
-        if r.size == 0 or q.size == 0:
-            results[i] = _EMPTY
-            continue
-        items.append((i, r, q, band))
-    items.sort(key=lambda t: (t[1].size + t[2].size, t[0]))
-
-    group_idx: list[int] = []
-    group_r: list[np.ndarray] = []
-    group_q: list[np.ndarray] = []
-    group_b: list[int] = []
-    group_max_m = 0
-    group_min_extent = 0
-
-    def flush() -> None:
-        nonlocal group_max_m
-        if not group_idx:
-            return
-        for i, res in zip(
-            group_idx, _banded_sweep_group(group_r, group_q, group_b, scoring)
-        ):
-            results[i] = res
-        group_idx.clear()
-        group_r.clear()
-        group_q.clear()
-        group_b.clear()
-        group_max_m = 0
-
-    for i, r, q, band in items:
-        extent = r.size + q.size
-        new_max = max(group_max_m, r.size)
-        if group_idx and (
-            extent > 2 * group_min_extent
-            or (len(group_idx) + 1) * (new_max + 1) > max_state_cells
-        ):
-            flush()
-            new_max = r.size
-        if not group_idx:
-            group_min_extent = extent
-        group_idx.append(i)
-        group_r.append(r)
-        group_q.append(q)
-        group_b.append(band)
-        group_max_m = new_max
-    flush()
-    return results  # type: ignore[return-value]
+    if any(b < 0 for b in bands):
+        raise ValueError("band must be non-negative")
+    return _align_batch(
+        pairs, scoring or ScoringScheme(), max_state_cells, bands,
+        row_major_ties=True,
+    )
 
 
 @register_engine

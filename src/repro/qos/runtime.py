@@ -19,10 +19,19 @@ from __future__ import annotations
 from ..align.matrix import AlignmentResult
 from ..align.scoring import ScoringScheme
 from ..baselines.base import ExtensionJob
+from ..engine import ExecutionEngine
 from .metrics import QoSMetrics, QoSRecorder
 from .overload import OverloadController
 from .policy import QoSPolicy
-from .tiers import SHED_LEVEL, proxy_job, score_degraded, tier_for, tier_params
+from .tiers import (
+    SHED_LEVEL,
+    TIER_BANDED,
+    proxy_job,
+    score_degraded,
+    tier_engine,
+    tier_for,
+    tier_params,
+)
 
 __all__ = ["QoSState"]
 
@@ -34,6 +43,7 @@ class QoSState:
         self.policy = policy
         self.controller = OverloadController(policy.overload)
         self.recorder = QoSRecorder(policy)
+        self._engines: dict[str, ExecutionEngine] = {}
 
     # ----- admission ----------------------------------------------------
 
@@ -66,16 +76,28 @@ class QoSState:
             self.controller.effective_level, self.policy.tenant(tenant).tenant_class
         )
 
-    def proxy_job(self, tier: str, job: ExtensionJob) -> ExtensionJob:
-        return proxy_job(job, tier, error_rate=self.policy.banded_error_rate)
+    def engine(self, tier: str) -> ExecutionEngine:
+        """The configured engine of an approximate *tier*.
 
-    def score(self, tier: str, job: ExtensionJob,
-              scoring: ScoringScheme) -> AlignmentResult:
-        return score_degraded(
-            job, tier, scoring,
-            error_rate=self.policy.banded_error_rate,
-            xdrop_x=self.policy.xdrop_x,
-        )
+        The policy is fixed, so each tier's engine is resolved on first
+        use and reused for every later job.
+        """
+        engine = self._engines.get(tier)
+        if engine is None:
+            engine = self._engines[tier] = tier_engine(
+                tier,
+                error_rate=self.policy.banded_error_rate,
+                xdrop_x=self.policy.xdrop_x,
+            )
+        return engine
+
+    def proxy_job(self, tier: str, job: ExtensionJob) -> ExtensionJob:
+        return proxy_job(job, tier, self.engine(TIER_BANDED))
+
+    def score(self, tier: str, jobs: list[ExtensionJob],
+              scoring: ScoringScheme) -> list[AlignmentResult]:
+        """Score one chunk of *tier* jobs in one engine call."""
+        return score_degraded(jobs, self.engine(tier), scoring)
 
     def params(self, tier: str, job: ExtensionJob) -> dict[str, int]:
         """The bound parameters *job* was scored under at *tier*.
@@ -83,11 +105,7 @@ class QoSState:
         Stamped onto the degraded handle's ``tier_params`` so results
         from two different bounds can never be conflated downstream.
         """
-        return tier_params(
-            job, tier,
-            error_rate=self.policy.banded_error_rate,
-            xdrop_x=self.policy.xdrop_x,
-        )
+        return tier_params(job, tier, self.engine(tier))
 
     # ----- settlement ---------------------------------------------------
 

@@ -40,7 +40,10 @@ mode.  That keeps exact-vs-degraded modeled durations directly
 comparable (same packing, launch, and memory model) and deterministic
 — the data-dependent ``cells_computed`` of x-drop never feeds the
 clock.  Actual degraded *scores* (scored mode only) come from the
-resolved engines on the full sequences.
+resolved engines on the full sequences, one :func:`score_degraded`
+call per chunk.  The helpers take the configured engine rather than
+the policy's knobs, so a service resolves each tier once
+(:meth:`repro.qos.runtime.QoSState.engine`).
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = [
     "tier_for",
     "tier_engine_name",
     "tier_engine",
-    "tier_band",
     "tier_params",
     "proxy_job",
     "score_degraded",
@@ -121,40 +123,34 @@ def tier_engine(tier: str, *, error_rate: float, xdrop_x: int) -> ExecutionEngin
     return resolve_engine(name, x=xdrop_x)
 
 
-def tier_band(job: ExtensionJob, error_rate: float) -> int:
-    """Band width used for *job* by the banded tier."""
-    engine = tier_engine(TIER_BANDED, error_rate=error_rate, xdrop_x=0)
-    return engine.band_for_job(job)
-
-
-def tier_params(
-    job: ExtensionJob, tier: str, *, error_rate: float, xdrop_x: int
-) -> dict[str, int]:
+def tier_params(job: ExtensionJob, tier: str, engine: ExecutionEngine) -> dict[str, int]:
     """The effective bound parameters for *job* at an approximate *tier*.
 
-    ``{"band": b}`` for the banded tier (sized per job from
-    *error_rate*), ``{"x": xdrop_x}`` for x-drop.  Degraded results
-    carry this mapping in their metadata and the result cache keys on
-    it — two different bounds are two different results.
+    *engine* is the tier's configured engine (:func:`tier_engine`).
+    ``{"band": b}`` for the banded tier (sized per job from its error
+    rate), ``{"x": x}`` for x-drop.  Degraded results carry this
+    mapping in their metadata and the result cache keys on it — two
+    different bounds are two different results.
     """
     if tier == TIER_BANDED:
-        return {"band": tier_band(job, error_rate)}
+        return {"band": engine.band_for_job(job)}
     if tier == TIER_XDROP:
-        return {"x": xdrop_x}
+        return {"x": engine.x}
     raise ValueError(f"not an approximate tier: {tier!r}")
 
 
-def proxy_job(job: ExtensionJob, tier: str, *, error_rate: float) -> ExtensionJob:
+def proxy_job(job: ExtensionJob, tier: str, band_engine: ExecutionEngine) -> ExtensionJob:
     """The timing proxy for running *job* at an approximate *tier*.
 
     The shorter sequence is sliced down to the tier's effective band
     width, so the proxy's ``cells`` reflect the reduced DP area the
     approximate kernel actually sweeps — banded covers ``2*band + 1``
-    diagonals, x-drop's live window is typically about half that.  The
-    proxy runs through the normal kernel path in model-only mode; its
-    duration is the degraded batch's modeled cost.
+    diagonals, x-drop's live window is typically about half that.
+    Both tiers size the band with the banded tier's *band_engine*.
+    The proxy runs through the normal kernel path in model-only mode;
+    its duration is the degraded batch's modeled cost.
     """
-    band = tier_band(job, error_rate)
+    band = band_engine.band_for_job(job)
     width = 2 * band + 1 if tier == TIER_BANDED else band + 1
     short = min(job.ref_len, job.query_len)
     if width >= short:
@@ -165,21 +161,18 @@ def proxy_job(job: ExtensionJob, tier: str, *, error_rate: float) -> ExtensionJo
 
 
 def score_degraded(
-    job: ExtensionJob,
-    tier: str,
+    jobs: list[ExtensionJob],
+    engine: ExecutionEngine,
     scoring: ScoringScheme,
-    *,
-    error_rate: float,
-    xdrop_x: int,
-) -> AlignmentResult:
-    """Score *job* at an approximate *tier* (full sequences).
+) -> list[AlignmentResult]:
+    """Score *jobs* on an approximate tier's *engine* (full sequences).
 
     Banded keeps local-SW semantics inside the band; x-drop is
     anchored (seed-extension semantics) with its score floored at 0 so
     the result type stays comparable.  Either way the caller flags the
-    handle's ``tier`` so consumers know the semantics.  Scoring goes
-    through the tier's registered engine and is bit-identical —
-    endpoints included — to the historical per-pair algorithms.
+    handle's ``tier`` so consumers know the semantics.  One call scores
+    a whole chunk in one ``score_batch``, bit-identical — endpoints
+    included — to the historical per-pair algorithms.  It stays a named
+    function so a trace can attribute degraded scoring to the QoS layer.
     """
-    engine = tier_engine(tier, error_rate=error_rate, xdrop_x=xdrop_x)
-    return engine.score_batch([job], scoring)[0]
+    return engine.score_batch(jobs, scoring)

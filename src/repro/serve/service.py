@@ -563,7 +563,8 @@ class AlignmentService:
         to exact ones and fully deterministic (x-drop's data-dependent
         cell count never feeds the clock).  Scores (scored mode) come
         from the tier's capability-resolved engine on the full
-        sequences (:func:`repro.qos.tiers.tier_engine`), and the
+        sequences (:func:`repro.qos.tiers.tier_engine`), one
+        ``score_batch`` per chunk, and the
         handle's ``tier`` plus ``tier_params`` — the effective
         ``band`` / ``x`` bound — flag the result as approximate and
         say which bound produced it, so two different bounds can never
@@ -620,6 +621,13 @@ class AlignmentService:
                     len(outcome.failures.recovered) - n_fallback
                 )
                 failed = {rec.job_index: rec for rec in outcome.failures.entries}
+                # One engine call scores every job of the chunk that ran.
+                ran = [req.job for local, (req, _) in enumerate(chunk)
+                       if local not in failed]
+                scored = iter(
+                    self._qos.score(tier, ran, self.scoring)
+                    if self.compute_scores and ran else ()
+                )
                 for local, (req, _) in enumerate(chunk):
                     rec = failed.get(local)
                     wait = start_ms - req.submitted_ms
@@ -632,9 +640,7 @@ class AlignmentService:
                         self._qos_settled(req.handle)
                         resolved += 1
                         continue
-                    result = None
-                    if self.compute_scores:
-                        result = self._qos.score(tier, req.job, self.scoring)
+                    result = next(scored, None)
                     req.handle._resolve(
                         result, completed_ms=self.clock_ms, wait_ms=wait,
                         service_ms=batch_ms, tier=tier,

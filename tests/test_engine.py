@@ -7,6 +7,8 @@ stagger schedule; the stable subwarp sort; and the cache upgrade-only
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, sw_align
 from repro.align.matrix import AlignmentResult
@@ -24,6 +26,7 @@ from repro.engine import (
     engine_names,
     resolve_engine,
 )
+from repro.engine.batched import _state_dtype
 from repro.gpusim import GTX1650
 from repro.obs import Tracer, chrome_trace_json
 from repro.resilience import FaultPlan, RetryPolicy
@@ -37,6 +40,58 @@ SCHEMES = [
     ScoringScheme(match=2, mismatch=-3, alpha=5, beta=2),
     ScoringScheme(match=3, mismatch=-1, alpha=2, beta=1),
 ]
+
+
+#: The sweep's edge-geometry schemes: the library default, BWA-MEM's,
+#: and the low-gap scheme under which a garbage lane-0 ``F`` shows.
+EDGE_SCHEMES = [
+    ScoringScheme(),
+    bwa_mem_scoring(),
+    ScoringScheme(match=3, mismatch=-1, alpha=2, beta=1),
+]
+
+#: Scores past 2**31 on 1100 bp pairs: the sweep must pick int64 state.
+WIDE_SCHEME = ScoringScheme(match=2**21, mismatch=-2**21, alpha=2**22,
+                            beta=2**21, n_score=-2**21)
+
+_SIDE_LENGTH = st.one_of(
+    st.just(0), st.just(1), st.integers(2, 12), st.integers(40, 120)
+)
+
+
+@st.composite
+def _edge_seq(draw, length):
+    """Random ACGTN codes, or a periodic {A,C} motif that forces ties."""
+    if draw(st.booleans()):
+        motif = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+        return np.resize(np.asarray(motif, dtype=np.uint8), length)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(0, 5, length).astype(np.uint8)
+
+
+@st.composite
+def edge_pairs(draw):
+    """One ``(ref, query)`` pair of an edge geometry.
+
+    Either both sides are drawn independently from {empty, 1 bp, short,
+    long}, so a batch mixes ``m >> n``, ``n >> m``, 1 bp and empty
+    sides, or one side is a lightly mutated copy of the other shifted
+    by 0-4 bp, which puts the optimum on an off-main diagonal: along
+    the edge of a narrow band.
+    """
+    ref = draw(_edge_seq(draw(_SIDE_LENGTH)))
+    if draw(st.booleans()):
+        return ref, draw(_edge_seq(draw(_SIDE_LENGTH)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    copy = np.concatenate([rng.integers(0, 4, draw(st.integers(0, 4))), ref])
+    hit = rng.random(copy.size) < 0.1
+    copy[hit] = rng.integers(0, 4, int(hit.sum()))
+    copy = copy.astype(np.uint8)
+    return (ref, copy) if draw(st.booleans()) else (copy, ref)
+
+
+#: A ragged batch of edge-geometry pairs.
+edge_batches = st.lists(edge_pairs(), min_size=1, max_size=8)
 
 
 def _random_pairs(rng, n, hi=60, with_n=True):
@@ -120,6 +175,30 @@ class TestBatchedSweepProperties:
         rng.shuffle(pairs)
         got = batched_sw_align(pairs)
         assert got == [sw_align(r, q) for r, q in pairs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=edge_batches, scheme=st.sampled_from(EDGE_SCHEMES))
+    def test_edge_geometry_batches_match_sw_align(self, pairs, scheme):
+        """Ragged batches mixing m >> n, n >> m, 1 bp and empty sides,
+        with low-entropy forced ties: every pair's score and endpoints
+        equal sw_align's."""
+        got = batched_sw_align(pairs, scheme)
+        for (r, q), res in zip(pairs, got, strict=True):
+            assert res == sw_align(r, q, scheme)
+
+    def test_state_dtype_follows_the_inputs(self):
+        assert _state_dtype(ScoringScheme(), 8192, 8192) is np.int32
+        assert _state_dtype(WIDE_SCHEME, 100, 100) is np.int32
+        assert _state_dtype(WIDE_SCHEME, 1100, 1100) is np.int64
+
+    def test_int64_state_matches_sw_align(self, rng):
+        """Scores past the int32 range force the int64 state."""
+        seq = rng.integers(0, 4, 1100).astype(np.uint8)
+        pairs = [(seq, seq.copy())] + _random_pairs(rng, 5, hi=90)
+        got = batched_sw_align(pairs, WIDE_SCHEME)
+        assert got[0].score == 1100 * 2**21 > 2**31
+        for (r, q), res in zip(pairs, got, strict=True):
+            assert res == sw_align(r, q, WIDE_SCHEME)
 
     def test_identical_pair_scores_its_length(self):
         seq = np.arange(12, dtype=np.uint8) % 4

@@ -44,15 +44,18 @@ from repro.engine import (
     resolve_engine,
 )
 from repro.gpusim import GTX1650
-from repro.qos import QoSPolicy, TenantPolicy
+from repro.qos import QoSPolicy, QoSState, TenantPolicy
 from repro.qos.tiers import (
     TIER_BANDED,
     TIER_XDROP,
     score_degraded,
+    tier_engine,
     tier_engine_name,
     tier_params,
 )
 from repro.serve import AlignmentService, cache_key
+
+from .test_engine import EDGE_SCHEMES, WIDE_SCHEME, edge_batches
 
 SCORING = ScoringScheme()
 
@@ -308,6 +311,45 @@ class TestBandedProperties:
         full = sw_align_slow(r, q, SCORING).score
         assert 0 <= lo <= hi <= full
 
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=edge_batches, scheme=st.sampled_from(EDGE_SCHEMES),
+           data=st.data())
+    def test_mixed_bands_in_one_batch_match_per_pair(self, pairs, scheme, data):
+        """Bands {0, 1, 2, 3, >= len} side by side in one ragged batch
+        of edge-geometry pairs: the union-window sweep must reproduce
+        each pair's own banded_sw_align, endpoints included."""
+        bands = [
+            data.draw(st.sampled_from([0, 1, 2, 3, max(r.size, q.size), 200]))
+            for r, q in pairs
+        ]
+        got = batched_banded_sw_align(pairs, bands, scheme)
+        for (r, q), band, res in zip(pairs, bands, got, strict=True):
+            assert res == banded_sw_align(r, q, band, scheme)
+
+    def test_lane_left_behind_by_the_window_reads_as_boundary(self):
+        """Band 1 with the optimum one diagonal off the main one: the
+        window's trailing lane holds a stale in-band value from three
+        diagonals back unless it is reset before the next F reads it."""
+        ref = np.array([3, 3, 0, 2, 1, 2, 3, 0, 3, 0, 3, 3, 1, 0, 3, 0, 0, 1, 0, 3],
+                       dtype=np.uint8)
+        query = np.array([2, 3, 3, 3, 3, 3, 0, 2, 1, 2, 2, 0, 1, 0, 3, 3, 1, 0, 3,
+                          0, 0, 1, 0, 3], dtype=np.uint8)
+        scheme = EDGE_SCHEMES[2]  # match 3, alpha 2: a cheap gap
+        expect = banded_sw_align(ref, query, 1, scheme)
+        assert expect == AlignmentResult(score=16, ref_end=20, query_end=19)
+        assert batched_banded_sw_align([(ref, query)], [1], scheme) == [expect]
+
+    def test_int64_state_matches_per_pair(self, rng):
+        """A scheme whose scores leave the int32 range forces the int64
+        state on the banded path as well."""
+        seq = rng.integers(0, 4, 1100).astype(np.uint8)
+        pairs = [(seq, seq.copy())] + _random_pairs(rng, 4, hi=90)
+        bands = [3, 0, 2, 90, 7]
+        got = batched_banded_sw_align(pairs, bands, WIDE_SCHEME)
+        assert got[0].score > 2**31
+        for (r, q), band, res in zip(pairs, bands, got, strict=True):
+            assert res == banded_sw_align(r, q, band, WIDE_SCHEME)
+
     @settings(max_examples=40, deadline=None)
     @given(r=codes, q=codes, band=st.integers(0, 5))
     def test_batched_banded_engine_matches_per_pair(self, r, q, band):
@@ -381,24 +423,36 @@ class TestBoundParamPlumbing:
 
     def test_tier_params_carry_the_effective_bound(self, rng):
         job = _jobs(_random_pairs(rng, 1, hi=50))[0]
-        p = tier_params(job, TIER_BANDED, error_rate=0.05, xdrop_x=50)
-        assert p == {"band": band_for_error_rate(
+        banded = tier_engine(TIER_BANDED, error_rate=0.05, xdrop_x=50)
+        assert tier_params(job, TIER_BANDED, banded) == {"band": band_for_error_rate(
             max(job.ref_len, job.query_len), 0.05)}
-        assert tier_params(job, TIER_XDROP, error_rate=0.05, xdrop_x=9) == {"x": 9}
+        xdrop = tier_engine(TIER_XDROP, error_rate=0.05, xdrop_x=9)
+        assert tier_params(job, TIER_XDROP, xdrop) == {"x": 9}
 
     def test_score_degraded_bit_identical_to_reference_algorithms(self, rng):
-        """The registry-routed degraded path must reproduce the
-        historical per-pair results byte for byte (PR 9 identity)."""
-        for job in _jobs(_random_pairs(rng, 12, hi=60)):
-            banded = score_degraded(job, TIER_BANDED, SCORING,
-                                    error_rate=0.05, xdrop_x=50)
+        """The registry-routed degraded path, one call per chunk, must
+        reproduce the historical per-pair results byte for byte."""
+        jobs = _jobs(_random_pairs(rng, 12, hi=60))
+        banded = score_degraded(
+            jobs, tier_engine(TIER_BANDED, error_rate=0.05, xdrop_x=50), SCORING)
+        xdrop = score_degraded(
+            jobs, tier_engine(TIER_XDROP, error_rate=0.05, xdrop_x=50), SCORING)
+        for job, b, xd in zip(jobs, banded, xdrop, strict=True):
             band = band_for_error_rate(max(job.ref_len, job.query_len), 0.05)
-            assert banded == banded_sw_align(job.ref, job.query, band, SCORING)
-            xd = score_degraded(job, TIER_XDROP, SCORING,
-                                error_rate=0.05, xdrop_x=50)
+            assert b == banded_sw_align(job.ref, job.query, band, SCORING)
             e = xdrop_extend(job.ref, job.query, 50, SCORING)
             assert xd == AlignmentResult(
                 score=max(e.score, 0), ref_end=e.ref_end, query_end=e.query_end)
+
+    def test_qos_state_resolves_each_tier_engine_once(self, rng):
+        state = QoSState(QoSPolicy())
+        job = _jobs(_random_pairs(rng, 1, hi=40))[0]
+        for tier in (TIER_BANDED, TIER_XDROP):
+            engine = state.engine(tier)
+            state.params(tier, job)
+            state.proxy_job(tier, job)
+            state.score(tier, [job, job], SCORING)
+            assert state.engine(tier) is engine
 
     def test_cache_key_exact_default_unchanged(self, rng):
         job = _jobs(_random_pairs(rng, 1, hi=30))[0]
