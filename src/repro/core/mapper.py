@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..align.scoring import ScoringScheme
-from ..align.semiglobal import semiglobal_align
 from ..baselines.base import ExtensionJob
+from ..engine.base import resolve_engine
 from ..gpusim.device import GTX1650, DeviceProfile
 from ..gpusim.kernel import LaunchTiming
 from ..resilience.errors import AlignmentError, JobRejected
@@ -358,7 +358,9 @@ class PairedReadMapper(ReadMapper):
         if window.size < candidate.size // 2:
             return None, 0
         cells = int(window.size) * int(candidate.size)
-        res = semiglobal_align(window, candidate, self.scoring)
+        (res,) = resolve_engine("semiglobal").score_batch(
+            [ExtensionJob(ref=window, query=candidate)], self.scoring
+        )
         # Threshold as a fraction of the perfect score — mismatches
         # cost match+|mismatch| each, so 0.5 admits ~90%-identity mates.
         threshold = self.rescue_min_identity * candidate.size * self.scoring.match

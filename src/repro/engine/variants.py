@@ -1,53 +1,74 @@
 """The ``repro.align`` variant family as registered engines.
 
-Before this module the banded, x-drop, semiglobal, NW, and pruning
-scorers were reachable only as per-module entry points — the QoS
-degradation ladder imported them directly, per pair.  Here they become
+The banded, x-drop, semiglobal, NW and pruning scorers are
 :class:`~repro.engine.base.ExecutionEngine` backends with capability
-descriptors, so serve, cluster, pipeline, and CLI select them through
-the registry like any exact engine:
+descriptors, so serve, cluster, pipeline, QoS and CLI select them
+through the registry like any exact engine.  Every one but ``pruned``
+is one call of the ``batched`` engine's anti-diagonal kernel
+(:func:`repro.engine.batched._align_batch`); the engine fixes the
+kernel's boundary, and the ``repro.align`` per-pair functions stay as
+the test oracles:
+
+==============  ==============  ===============================  ===========================
+engine          boundary        bound / termination              bit-identical to
+==============  ==============  ===============================  ===========================
+``banded``      ``local``       per-pair band, row-major ties    ``banded_sw_align``
+``xdrop``       ``anchored``    per-pair X-drop ``x``            ``xdrop_extend``, score
+                                                                 floored at 0
+``semiglobal``  ``semiglobal``  none                             ``semiglobal_align``
+                                                                 (``query_end = n``)
+``nw``          ``global``      none                             ``nw_score_slow`` (ends
+                                                                 ``(m, n)``)
+``pruned``      own sweep       block pruning                    ``sw_align_slow`` (scores)
+==============  ==============  ===============================  ===========================
 
 ``banded``
     Band-restricted local Smith-Waterman (Discussion VII-B).  Bounded
     (``bound_params=("band",)``): cells with ``|i - j| > band`` are
-    unreachable.  Runs on the ``batched`` engine's anti-diagonal
-    kernel with a per-pair band: each diagonal is cut to the union of
-    the group's band windows, so a narrow band sweeps only its own
-    lanes.  Results are bit-identical — endpoints included — to
-    :func:`repro.align.banded.banded_sw_align`.
+    unreachable.  Each diagonal is cut to the union of the group's
+    band windows, so a narrow band sweeps only its own lanes.
 ``xdrop``
     Anchored X-drop seed extension (``bound_params=("x",)``), the
-    semantics of BWA-MEM's ``ksw_extend``; per-pair wrapper over
-    :func:`repro.align.xdrop.xdrop_extend` with the score floored at
-    0 exactly as the QoS ladder has always reported it.
+    semantics of BWA-MEM's ``ksw_extend``: cell (0, 0) is the only
+    free start, and a pair stops once a whole anti-diagonal has
+    dropped more than ``x`` below its best.
 ``semiglobal``
     Whole-query / free-reference-ends alignment (exact, endpoint
     semantics ``"semiglobal"``); scores can be negative.
 ``nw``
-    Global Needleman-Wunsch (exact, ``"global"``); the anti-diagonal
-    vectorized :func:`repro.align.antidiagonal.nw_score`.
+    Global Needleman-Wunsch (exact, ``"global"``); scores can be
+    negative.
 ``pruned``
     Exact local block-grid sweep with CUDAlign-style block pruning
     (:func:`repro.align.pruning.pruned_grid_sweep`) — score-identical
     to the oracle, per pair.
 
-Bit-identity contracts: the **banded** and **xdrop** engines reproduce
-their per-pair reference algorithms byte for byte (the degraded QoS
-tiers resolve through them, and degraded results must stay
-reproducible across PRs); **pruned** is score-identical to
-``sw_align_slow`` with block-grid endpoints (the library-wide
-tie-break caveat applies, as for ``batched``).
+The kernel's invariants (module docstring of
+:mod:`repro.engine.batched`) carry over to the unfloored boundaries:
+
+1. padded cells never reach a real cell; ``nw`` and ``semiglobal``
+   read their score from fixed cells, ``xdrop`` counts only real
+   cells as alive, and no padded ``H`` beats or ties the best;
+2. the gap-charged boundary ``H`` of lane 0 and lane ``d`` is written
+   once per diagonal, so no buffer is ever filled;
+3. the state stays int32 while ``-(alpha + (M + N - 1) * beta)``,
+   twice over, plus one ``NEG_INF`` from a padded or dropped cell fits
+   in ``+-2**30``, else int64.
+
+Bit-identity contracts: every engine but ``pruned`` reproduces its
+per-pair reference algorithm byte for byte, endpoints included (the
+degraded QoS tiers resolve through ``banded`` and ``xdrop``, and
+degraded results must stay reproducible); **pruned** is
+score-identical to ``sw_align_slow`` with block-grid endpoints (the
+library-wide tie-break caveat applies, as for ``batched``).
 """
 
 from __future__ import annotations
 
-from ..align.antidiagonal import nw_score
 from ..align.banded import band_for_error_rate
 from ..align.matrix import AlignmentResult
 from ..align.pruning import pruned_grid_sweep
 from ..align.scoring import ScoringScheme
-from ..align.semiglobal import semiglobal_align
-from ..align.xdrop import xdrop_extend
 from .base import EngineCapabilities, ExecutionEngine, register_engine
 from .batched import _align_batch
 
@@ -121,13 +142,6 @@ class BandedEngine(ExecutionEngine):
         self.error_rate = error_rate
         self.max_state_cells = max_state_cells
 
-    @staticmethod
-    def band_for(length: int, error_rate: float) -> int:
-        """The band-sizing heuristic, reachable without an
-        ``repro.align`` import (the QoS tier table and proxy-job
-        slicing both need the numeric band)."""
-        return band_for_error_rate(length, error_rate)
-
     def band_for_job(self, job) -> int:
         """The band this engine will use for *job*."""
         if self.band is not None:
@@ -149,13 +163,13 @@ class BandedEngine(ExecutionEngine):
 
 @register_engine
 class XDropEngine(ExecutionEngine):
-    """Anchored X-drop extension (per-pair).  See module docstring.
+    """Anchored X-drop extension.  See module docstring.
 
-    The anchored score is floored at 0 in the returned
-    :class:`AlignmentResult` (the empty extension always being
-    available), matching how the QoS ladder has always reported the
-    x-drop tier; the raw :class:`~repro.align.xdrop.XDropResult` —
-    drop flag, cells computed — remains available from
+    The anchored best starts at the empty extension, so the returned
+    score is never below 0, matching how the QoS ladder has always
+    reported the x-drop tier; the raw
+    :class:`~repro.align.xdrop.XDropResult` — drop flag, cells
+    computed — remains available from
     :func:`~repro.align.xdrop.xdrop_extend` directly.
     """
 
@@ -173,20 +187,15 @@ class XDropEngine(ExecutionEngine):
     def score_batch(
         self, jobs, scoring: ScoringScheme, *, config=None
     ) -> list[AlignmentResult]:
-        out = []
-        for j in jobs:
-            res = xdrop_extend(j.ref, j.query, self.x, scoring)
-            out.append(AlignmentResult(
-                score=max(res.score, 0),
-                ref_end=res.ref_end,
-                query_end=res.query_end,
-            ))
-        return out
+        return _align_batch(
+            [(j.ref, j.query) for j in jobs], scoring,
+            xs=[self.x] * len(jobs), boundary="anchored",
+        )
 
 
 @register_engine
 class SemiglobalEngine(ExecutionEngine):
-    """Whole-query / free-reference-ends alignment (per-pair).
+    """Whole-query / free-reference-ends alignment.
 
     ``query_end`` is always the full query length (the query is
     consumed end to end by definition); scores can be negative for a
@@ -201,18 +210,14 @@ class SemiglobalEngine(ExecutionEngine):
     def score_batch(
         self, jobs, scoring: ScoringScheme, *, config=None
     ) -> list[AlignmentResult]:
-        out = []
-        for j in jobs:
-            res = semiglobal_align(j.ref, j.query, scoring)
-            out.append(AlignmentResult(
-                score=res.score, ref_end=res.ref_end, query_end=j.query_len,
-            ))
-        return out
+        return _align_batch(
+            [(j.ref, j.query) for j in jobs], scoring, boundary="semiglobal"
+        )
 
 
 @register_engine
 class NWEngine(ExecutionEngine):
-    """Global Needleman-Wunsch scoring (anti-diagonal vectorized).
+    """Global Needleman-Wunsch scoring.
 
     Both sequences are consumed end to end, so the endpoints are the
     full lengths by definition and only the score is informative;
@@ -227,14 +232,9 @@ class NWEngine(ExecutionEngine):
     def score_batch(
         self, jobs, scoring: ScoringScheme, *, config=None
     ) -> list[AlignmentResult]:
-        return [
-            AlignmentResult(
-                score=int(nw_score(j.ref, j.query, scoring)),
-                ref_end=j.ref_len,
-                query_end=j.query_len,
-            )
-            for j in jobs
-        ]
+        return _align_batch(
+            [(j.ref, j.query) for j in jobs], scoring, boundary="global"
+        )
 
 
 @register_engine

@@ -57,6 +57,11 @@ from .request import AlignmentRequest, RequestHandle
 
 __all__ = ["AlignmentService"]
 
+#: One request of a bin round: the request, its result-cache key (None
+#: when it must neither coalesce nor be cached) and the job the kernel
+#: models for it (the request's own job, or a degraded tier's proxy).
+_Member = tuple[AlignmentRequest, bytes | None, ExtensionJob]
+
 
 class AlignmentService:
     """High-throughput alignment service over the modeled device.
@@ -326,8 +331,8 @@ class AlignmentService:
             tr.sync(self.clock_ms)
             span = tr.begin("service.drain")
         popped = cache_hits = expired = executable = resolved = 0
-        bins: dict[int, list[tuple[AlignmentRequest, bytes | None]]] = {}
-        degraded: dict[str, list[AlignmentRequest]] = {}
+        bins: dict[int, list[_Member]] = {}
+        degraded: dict[str, dict[int, list[_Member]]] = {}
         while executable < window:
             got = self.queue.pop_upto(1)
             if not got:
@@ -363,15 +368,31 @@ class AlignmentService:
                 # would touch the device is considered for degradation.
                 tier = self._qos.tier_for(req.tenant)
                 if tier != "exact":
-                    degraded.setdefault(tier, []).append(req)
+                    proxy = self._qos.proxy_job(tier, req.job)
+                    degraded.setdefault(tier, {}).setdefault(
+                        self.binner.bin_index(proxy), []
+                    ).append((req, None, proxy))
                     executable += 1
                     continue
-            bins.setdefault(self.binner.bin_index(req.job), []).append((req, key))
+            bins.setdefault(self.binner.bin_index(req.job), []).append(
+                (req, key, req.job)
+            )
             executable += 1
         for bin_index, members in self._merge_sparse_bins(bins):
             resolved += self._run_bin(bin_index, members)
         for tier in sorted(degraded):
-            resolved += self._run_degraded(tier, degraded[tier])
+            tier_bins = degraded[tier]
+            tier_span = None
+            if tr:
+                reqs = [req for group in tier_bins.values() for req, _, _ in group]
+                tier_span = tr.begin(
+                    "tier.run", tier=tier, requests=len(reqs),
+                    tenants=sorted({r.tenant for r in reqs}),
+                )
+            for bin_index in sorted(tier_bins):
+                resolved += self._run_bin(bin_index, tier_bins[bin_index], tier)
+            if tier_span is not None:
+                tr.end(tier_span)
         if span is not None:
             span.attrs.update(
                 popped=popped, cache_hits=cache_hits, expired=expired,
@@ -379,7 +400,9 @@ class AlignmentService:
             )
             if self._qos is not None:
                 span.attrs["level"] = level
-                span.attrs["degraded"] = sum(len(v) for v in degraded.values())
+                span.attrs["degraded"] = sum(
+                    len(group) for groups in degraded.values() for group in groups.values()
+                )
             tr.sync(self.clock_ms)
             tr.end(span)
         return resolved
@@ -392,8 +415,8 @@ class AlignmentService:
         return pressure
 
     def _merge_sparse_bins(
-        self, bins: dict[int, list[tuple[AlignmentRequest, bytes | None]]]
-    ) -> list[tuple[int, list[tuple[AlignmentRequest, bytes | None]]]]:
+        self, bins: dict[int, list[_Member]]
+    ) -> list[tuple[int, list[_Member]]]:
         """Fold underfilled bins into their larger neighbour.
 
         A bin with fewer than ``min_bin_fill`` requests carries upward
@@ -407,8 +430,8 @@ class AlignmentService:
         """
         if self.min_bin_fill <= 1 or len(bins) <= 1:
             return [(b, bins[b]) for b in sorted(bins)]
-        merged: list[tuple[int, list[tuple[AlignmentRequest, bytes | None]]]] = []
-        carry: list[tuple[AlignmentRequest, bytes | None]] = []
+        merged: list[tuple[int, list[_Member]]] = []
+        carry: list[_Member] = []
         carry_max = -1
         for b in sorted(bins):
             group = carry + bins[b]
@@ -449,8 +472,8 @@ class AlignmentService:
             wait_ms=handle.wait_ms,
         )
 
-    def _run_bin(self, bin_index: int,
-                 members: list[tuple[AlignmentRequest, bytes | None]]) -> int:
+    def _run_bin(self, bin_index: int, members: list[_Member],
+                 tier: str = "exact") -> int:
         """Serve one bin's round: dedup, chunk, execute, demultiplex.
 
         Duplicates are coalesced across the *whole* bin before
@@ -458,41 +481,60 @@ class AlignmentService:
         this catches every in-round repeat): one leader executes,
         followers reuse its outcome.  Content-keyed fault injection
         guarantees the follower would have faulted identically anyway.
+
+        An approximate *tier* (docs/QOS.md) runs the same loop.  Its
+        members carry no cache key, so none coalesces and no result
+        enters the cache (entries are exact by contract, and
+        :func:`repro.serve.cache.cache_key` refuses to conflate tiers
+        regardless).  Modeled time comes from each member's *proxy
+        job* — its shorter sequence sliced to the tier's band width —
+        run model-only, so degraded durations are directly comparable
+        to exact ones and fully deterministic (x-drop's data-dependent
+        cell count never feeds the clock).  Scores (scored mode) come
+        from one :meth:`~repro.qos.runtime.QoSState.score` call per
+        chunk, over the full jobs that ran, and the handle's ``tier``
+        plus ``tier_params`` — the effective ``band`` / ``x`` bound —
+        flag the result as approximate.
         """
-        leaders: list[tuple[AlignmentRequest, bytes | None]] = []
+        exact = tier == "exact"
+        leaders: list[_Member] = []
         followers: list[tuple[AlignmentRequest, int]] = []
         seen: dict[bytes, int] = {}
-        for req, key in members:
+        for member in members:
+            req, key, _ = member
             if key is not None and key in seen:
                 followers.append((req, seen[key]))
             else:
                 if key is not None:
                     seen[key] = len(leaders)
-                leaders.append((req, key))
+                leaders.append(member)
         # settled[i] = (failure record or None, result, completion ms,
         # batch start ms, batch ms) for leader i — followers read it.
         settled: list[tuple[FailureRecord | None, AlignmentResult | None,
                             float, float, float]] = []
         tr = self.tracer
         bin_span = None
-        if tr:
+        if tr and exact:
             bin_span = tr.begin(
                 "bin.run", bin=bin_index, label=self.binner.label(bin_index),
                 requests=len(members), leaders=len(leaders),
                 followers=len(followers),
             )
             if self._qos is not None:
-                bin_span.attrs["tenants"] = sorted({r.tenant for r, _ in members})
+                bin_span.attrs["tenants"] = sorted({r.tenant for r, _, _ in members})
+        label = self.binner.label(bin_index)
+        label, tier_attr = (label, {}) if exact else (f"{tier}:{label}", {"tier": tier})
         cap = self._bin_batch_sizes.get(bin_index, self.max_batch_jobs)
         for lo in range(0, len(leaders), cap):
             chunk = leaders[lo : lo + cap]
-            jobs = [req.job for req, _ in chunk]
-            batch_span = tr.begin("batch", bin=bin_index, jobs=len(jobs)) if tr else None
+            jobs = [job for _, _, job in chunk]
+            batch_span = (tr.begin("batch", bin=bin_index, jobs=len(jobs), **tier_attr)
+                          if tr else None)
             kernel = self.tuner.kernel_for(bin_index, jobs)
             outcome = run_isolated(
                 kernel, jobs, self.device,
                 policy=self.retry_policy,
-                compute_scores=self.compute_scores,
+                compute_scores=self.compute_scores and exact,
                 scoring=self.scoring,
                 tracer=tr,
             )
@@ -503,25 +545,31 @@ class AlignmentService:
                 batch_span.attrs["batch_ms"] = batch_ms
                 tr.sync(self.clock_ms)
                 tr.end(batch_span)
-            self._recorder.record_batch(
-                len(jobs), self.binner.label(bin_index), batch_ms
-            )
+            self._recorder.record_batch(len(jobs), label, batch_ms)
             n_fallback = sum(1 for r in outcome.failures.recovered if r.fallback)
             self._recorder.fallbacks += n_fallback
             self._recorder.retries_recovered += (
                 len(outcome.failures.recovered) - n_fallback
             )
             failed = {rec.job_index: rec for rec in outcome.failures.entries}
-            for local, (req, key) in enumerate(chunk):
+            # Per-member results, None where a member failed or in
+            # model-only mode.
+            results = outcome.results or [None] * len(chunk)
+            if self.compute_scores and not exact:
+                # One engine call scores every job of the chunk that ran.
+                ran = [local for local in range(len(chunk)) if local not in failed]
+                scored = self._qos.score(
+                    tier, [chunk[local][0].job for local in ran], self.scoring
+                ) if ran else []
+                for local, result in zip(ran, scored, strict=True):
+                    results[local] = result
+            for local, (req, key, _) in enumerate(chunk):
                 rec = failed.get(local)
-                result: AlignmentResult | None = None
-                if rec is None and self.compute_scores:
-                    assert outcome.results is not None
-                    result = outcome.results[local]
+                result = results[local]
                 settled.append((rec, result, self.clock_ms, start_ms, batch_ms))
                 self._settle(req, rec, result, completed_ms=self.clock_ms,
                              start_ms=start_ms, batch_ms=batch_ms,
-                             key=key, from_cache=False)
+                             key=key, from_cache=False, tier=tier)
         for req, leader_pos in followers:
             rec, result, completed_ms, start_ms, batch_ms = settled[leader_pos]
             self._recorder.coalesced += 1
@@ -535,7 +583,7 @@ class AlignmentService:
     def _settle(self, req: AlignmentRequest, rec: FailureRecord | None,
                 result: AlignmentResult | None, *, completed_ms: float,
                 start_ms: float, batch_ms: float, key: bytes | None,
-                from_cache: bool) -> None:
+                from_cache: bool, tier: str = "exact") -> None:
         """Resolve one handle from its (leader's) execution outcome."""
         wait = start_ms - req.submitted_ms
         if rec is not None:
@@ -546,112 +594,13 @@ class AlignmentService:
             return
         req.handle._resolve(
             result, completed_ms=completed_ms, wait_ms=wait,
-            service_ms=batch_ms, from_cache=from_cache,
+            service_ms=batch_ms, from_cache=from_cache, tier=tier,
+            tier_params=None if tier == "exact" else self._qos.params(tier, req.job),
         )
         self._recorder.record_completion(wait, batch_ms)
         self._qos_settled(req.handle)
         if not from_cache and self.cache is not None and key is not None:
             self.cache.put(key, result, scored=self.compute_scores)
-
-    def _run_degraded(self, tier: str, members: list[AlignmentRequest]) -> int:
-        """Serve one approximate tier's round (docs/QOS.md).
-
-        Modeled time comes from *proxy jobs* — each job's shorter
-        sequence sliced to the tier's band width — run through the
-        same kernel / ``run_isolated`` path as exact batches in
-        model-only mode, so degraded durations are directly comparable
-        to exact ones and fully deterministic (x-drop's data-dependent
-        cell count never feeds the clock).  Scores (scored mode) come
-        from the tier's capability-resolved engine on the full
-        sequences (:func:`repro.qos.tiers.tier_engine`), one
-        ``score_batch`` per chunk, and the
-        handle's ``tier`` plus ``tier_params`` — the effective
-        ``band`` / ``x`` bound — flag the result as approximate and
-        say which bound produced it, so two different bounds can never
-        be conflated by downstream keying.  Degraded results never
-        enter the result cache — cache entries are exact by contract
-        (and :func:`repro.serve.cache.cache_key` refuses to conflate
-        tiers regardless).
-        """
-        assert self._qos is not None
-        tr = self.tracer
-        proxied = [(req, self._qos.proxy_job(tier, req.job)) for req in members]
-        bins: dict[int, list[tuple[AlignmentRequest, ExtensionJob]]] = {}
-        for req, proxy in proxied:
-            bins.setdefault(self.binner.bin_index(proxy), []).append((req, proxy))
-        resolved = 0
-        tier_span = None
-        if tr:
-            tier_span = tr.begin(
-                "tier.run", tier=tier, requests=len(members),
-                tenants=sorted({r.tenant for r in members}),
-            )
-        for bin_index in sorted(bins):
-            group = bins[bin_index]
-            cap = self._bin_batch_sizes.get(bin_index, self.max_batch_jobs)
-            for lo in range(0, len(group), cap):
-                chunk = group[lo : lo + cap]
-                jobs = [proxy for _, proxy in chunk]
-                batch_span = None
-                if tr:
-                    batch_span = tr.begin(
-                        "batch", bin=bin_index, jobs=len(jobs), tier=tier
-                    )
-                kernel = self.tuner.kernel_for(bin_index, jobs)
-                outcome = run_isolated(
-                    kernel, jobs, self.device,
-                    policy=self.retry_policy,
-                    compute_scores=False,
-                    scoring=self.scoring,
-                    tracer=tr,
-                )
-                start_ms = self.clock_ms
-                batch_ms = outcome.total_ms
-                self.clock_ms += batch_ms
-                if batch_span is not None:
-                    batch_span.attrs["batch_ms"] = batch_ms
-                    tr.sync(self.clock_ms)
-                    tr.end(batch_span)
-                self._recorder.record_batch(
-                    len(jobs), f"{tier}:{self.binner.label(bin_index)}", batch_ms
-                )
-                n_fallback = sum(1 for r in outcome.failures.recovered if r.fallback)
-                self._recorder.fallbacks += n_fallback
-                self._recorder.retries_recovered += (
-                    len(outcome.failures.recovered) - n_fallback
-                )
-                failed = {rec.job_index: rec for rec in outcome.failures.entries}
-                # One engine call scores every job of the chunk that ran.
-                ran = [req.job for local, (req, _) in enumerate(chunk)
-                       if local not in failed]
-                scored = iter(
-                    self._qos.score(tier, ran, self.scoring)
-                    if self.compute_scores and ran else ()
-                )
-                for local, (req, _) in enumerate(chunk):
-                    rec = failed.get(local)
-                    wait = start_ms - req.submitted_ms
-                    if rec is not None:
-                        record = replace(rec, job_index=req.request_id)
-                        req.handle._fail(
-                            record, completed_ms=self.clock_ms, wait_ms=wait
-                        )
-                        self._recorder.record_failure(record.error, wait)
-                        self._qos_settled(req.handle)
-                        resolved += 1
-                        continue
-                    result = next(scored, None)
-                    req.handle._resolve(
-                        result, completed_ms=self.clock_ms, wait_ms=wait,
-                        service_ms=batch_ms, tier=tier,
-                        tier_params=self._qos.params(tier, req.job),
-                    )
-                    self._recorder.record_completion(wait, batch_ms)
-                    self._qos_settled(req.handle)
-                    resolved += 1
-        if tier_span is not None:
-            tr.end(tier_span)
-        return resolved
 
     # ----- mid-run reconfiguration -----------------------------------------
 

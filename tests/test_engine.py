@@ -1,8 +1,10 @@
-"""Tests for the execution-engine layer (repro.engine) and the PR's
-satellite fixes: batched scores bit-identical to the oracle and to the
-per-pair engine (fault injection included); the modeled clock, metric
-snapshots, and traces engine-independent; the precomputed wavefront
-stagger schedule; the stable subwarp sort; and the cache upgrade-only
+"""Tests for the execution-engine layer (repro.engine): batched
+scores bit-identical to the oracle and to the per-pair engine (fault
+injection included); the kernel's unfloored boundaries (``nw``,
+``semiglobal``, ``xdrop``) bit-identical to their per-pair oracles,
+X-drop stopping included; the modeled clock, metric snapshots, and
+traces engine-independent; the precomputed wavefront stagger
+schedule; the stable subwarp sort; and the cache upgrade-only
 ``put``."""
 
 import numpy as np
@@ -11,17 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, sw_align
+from repro.align.antidiagonal import nw_score
 from repro.align.matrix import AlignmentResult
+from repro.align.needleman_wunsch import nw_score_slow
 from repro.align.scoring import bwa_mem_scoring
+from repro.align.semiglobal import semiglobal_align, semiglobal_score_slow
 from repro.align.smith_waterman import sw_align_slow
+from repro.align.xdrop import xdrop_extend
 from repro.baselines import make_jobs
+from repro.baselines.base import ExtensionJob
 from repro.core import SalobaConfig, SalobaKernel
 from repro.core.intra_query import _stagger_schedule, saloba_extend_exact
 from repro.core.subwarp import schedule_subwarps
 from repro.engine import (
     BatchedWavefrontEngine,
     ExecutionEngine,
+    NWEngine,
     ReferenceEngine,
+    SemiglobalEngine,
+    XDropEngine,
     batched_sw_align,
     engine_names,
     resolve_engine,
@@ -53,6 +63,19 @@ EDGE_SCHEMES = [
 #: Scores past 2**31 on 1100 bp pairs: the sweep must pick int64 state.
 WIDE_SCHEME = ScoringScheme(match=2**21, mismatch=-2**21, alpha=2**22,
                             beta=2**21, n_score=-2**21)
+
+#: Scores past 2**31 on 200 bp pairs, with gap-charged boundaries deep
+#: below -2**27: the unfloored sweep must pick int64 state.
+DEEP_SCHEME = ScoringScheme(match=2**24, mismatch=-2**20, alpha=2**21,
+                            beta=2**20, n_score=-2**20)
+
+#: The X-drop thresholds the boundary tests sweep: 0 (the harshest),
+#: 5, 50, and two that never drop.
+XDROP_XS = [0, 5, 50, 10**12, float("inf")]
+
+#: A gap-cheap scheme (match 3, gaps 2 + 1/base) under which an
+#: identical pair survives x = 2 on every diagonal.
+CHEAP_GAPS = ScoringScheme(match=3, mismatch=-1, alpha=2, beta=1)
 
 _SIDE_LENGTH = st.one_of(
     st.just(0), st.just(1), st.integers(2, 12), st.integers(40, 120)
@@ -92,6 +115,17 @@ def edge_pairs(draw):
 
 #: A ragged batch of edge-geometry pairs.
 edge_batches = st.lists(edge_pairs(), min_size=1, max_size=8)
+
+
+def _edge_jobs(pairs):
+    return [ExtensionJob(ref=r, query=q) for r, q in pairs]
+
+
+def _xdrop_oracle(ref, query, x, scoring):
+    """xdrop_extend's result, floored at 0, as an AlignmentResult."""
+    e = xdrop_extend(ref, query, x, scoring)
+    return AlignmentResult(score=max(e.score, 0), ref_end=e.ref_end,
+                           query_end=e.query_end)
 
 
 def _random_pairs(rng, n, hi=60, with_n=True):
@@ -204,6 +238,128 @@ class TestBatchedSweepProperties:
         seq = np.arange(12, dtype=np.uint8) % 4
         (res,) = batched_sw_align([(seq, seq)])
         assert res == AlignmentResult(score=12, ref_end=12, query_end=12)
+
+
+class TestUnflooredBoundaries:
+    """``nw`` (global), ``semiglobal`` and ``xdrop`` (anchored) on the
+    kernel: score and both endpoints equal the per-pair oracles'."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=edge_batches, scheme=st.sampled_from(EDGE_SCHEMES))
+    def test_edge_geometry_nw_matches_nw_score_slow(self, pairs, scheme):
+        got = NWEngine().score_batch(_edge_jobs(pairs), scheme)
+        for (r, q), res in zip(pairs, got, strict=True):
+            assert res == AlignmentResult(
+                score=nw_score_slow(r, q, scheme), ref_end=r.size,
+                query_end=q.size)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=edge_batches, scheme=st.sampled_from(EDGE_SCHEMES))
+    def test_edge_geometry_semiglobal_matches_semiglobal_align(self, pairs, scheme):
+        got = SemiglobalEngine().score_batch(_edge_jobs(pairs), scheme)
+        for (r, q), res in zip(pairs, got, strict=True):
+            exp = semiglobal_align(r, q, scheme)
+            assert res == AlignmentResult(
+                score=exp.score, ref_end=exp.ref_end, query_end=q.size)
+            assert res.score == semiglobal_score_slow(r, q, scheme)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=edge_batches, scheme=st.sampled_from(EDGE_SCHEMES),
+           x=st.sampled_from(XDROP_XS))
+    def test_edge_geometry_xdrop_matches_xdrop_extend(self, pairs, scheme, x):
+        got = XDropEngine(x=x).score_batch(_edge_jobs(pairs), scheme)
+        for (r, q), res in zip(pairs, got, strict=True):
+            assert res == _xdrop_oracle(r, q, x, scheme)
+
+    def test_empty_side_takes_the_boundary_score(self):
+        """An empty side is all boundary: nw charges the other side's
+        gap, semiglobal charges the query's, xdrop is the empty
+        extension."""
+        sc = ScoringScheme()
+        seq = np.arange(7, dtype=np.uint8) % 4
+        empty = np.empty(0, np.uint8)
+        jobs = _edge_jobs([(seq, empty), (empty, seq), (empty, empty)])
+        gap = -sc.gap_cost(7)
+        assert NWEngine().score_batch(jobs, sc) == [
+            AlignmentResult(gap, 7, 0), AlignmentResult(gap, 0, 7),
+            AlignmentResult(0, 0, 0),
+        ]
+        assert SemiglobalEngine().score_batch(jobs, sc) == [
+            AlignmentResult(0, 0, 0), AlignmentResult(gap, 0, 7),
+            AlignmentResult(0, 0, 0),
+        ]
+        assert XDropEngine().score_batch(jobs, sc) == [AlignmentResult(0, 0, 0)] * 3
+
+    def test_state_dtype_bounds_the_gap_charged_boundary(self):
+        """-(alpha + (M+N-1)*beta), twice, plus NEG_INF leaves int32
+        where the local sweep still fits it."""
+        assert _state_dtype(WIDE_SCHEME, 100, 100) is np.int32
+        for boundary in ("global", "semiglobal", "anchored"):
+            assert _state_dtype(ScoringScheme(), 8192, 8192, boundary) is np.int32
+            assert _state_dtype(WIDE_SCHEME, 100, 100, boundary) is np.int64
+
+    def test_int64_state_matches_per_pair_oracles(self, rng):
+        """Scores past 2**31 and boundaries below -2**27 force the
+        unfloored int64 state; every result still equals its oracle."""
+        seq = rng.integers(0, 4, 200).astype(np.uint8)
+        mutated = seq.copy()
+        mutated[::17] = (mutated[::17] + 1) % 4
+        pairs = [(seq, seq.copy()), (seq, mutated), (mutated[:150], seq)]
+        pairs += _random_pairs(rng, 4, hi=40)
+        jobs = _edge_jobs(pairs)
+        nw = NWEngine().score_batch(jobs, DEEP_SCHEME)
+        semi = SemiglobalEngine().score_batch(jobs, DEEP_SCHEME)
+        assert nw[0].score == semi[0].score == 200 * 2**24 > 2**31
+        for (r, q), a, b in zip(pairs, nw, semi, strict=True):
+            assert a == AlignmentResult(nw_score(r, q, DEEP_SCHEME), r.size, q.size)
+            exp = semiglobal_align(r, q, DEEP_SCHEME)
+            assert b == AlignmentResult(exp.score, exp.ref_end, q.size)
+        for x in (0, 50 * 2**20, float("inf")):
+            got = XDropEngine(x=x).score_batch(jobs, DEEP_SCHEME)
+            for (r, q), res in zip(pairs, got, strict=True):
+                assert res == _xdrop_oracle(r, q, x, DEEP_SCHEME)
+
+
+class TestXDropStopping:
+    """X-drop regressions under CHEAP_GAPS: each case fails on the bug
+    it names.  A companion pair keeps the group sweeping past the short
+    pair's drop: an identical pair, which outlives it, of the same
+    length class, so the regrouping puts both in one group."""
+
+    @staticmethod
+    def _run(short, companion_len, x):
+        comp = np.resize(np.arange(4, dtype=np.uint8), companion_len)
+        pairs = [short, (comp, comp.copy())]
+        got = XDropEngine(x=x).score_batch(_edge_jobs(pairs), CHEAP_GAPS)
+        for (r, q), res in zip(pairs, got, strict=True):
+            assert res == _xdrop_oracle(r, q, x, CHEAP_GAPS)
+        return got[0]
+
+    def test_stopped_pair_stays_stopped(self):
+        """A drops against C on diagonal 2 while its companion goes on.
+        Boundary cell (0, 1) is alive on diagonal 1, so without a
+        stopped mask diagonal 3 revives the pair through the d - 2 arm
+        at the A/A match (1, 2).  Likewise AAA against CCA drops on
+        diagonal 3; without the mask (2, 2) revives from (1, 1) and
+        the match at (3, 3) ends at score 1."""
+        for short, companion_len, x in [
+            ((np.array([0], np.uint8), np.array([1, 0], np.uint8)), 3, 0),
+            ((np.zeros(3, np.uint8), np.array([1, 1, 0], np.uint8)), 6, 2),
+        ]:
+            assert xdrop_extend(*short, x, CHEAP_GAPS).dropped
+            assert self._run(short, companion_len, x) == AlignmentResult(0, 0, 0)
+
+    def test_interior_before_boundary_after(self):
+        """Interior cells are dropped against the best from before the
+        diagonal, boundary cells against the best after it, as in
+        xdrop_extend.  The first case ends elsewhere when boundary cells
+        use the best from before; the second when interior cells use
+        the best after."""
+        first = (np.array([0, 1, 1], np.uint8), np.array([1, 0, 0, 0, 1], np.uint8))
+        assert self._run(first, 8, 4) == AlignmentResult(2, 3, 5)
+        second = (np.array([0, 2, 2], np.uint8),
+                  np.array([2, 1, 2, 2, 0, 2], np.uint8))
+        assert self._run(second, 9, 3) == AlignmentResult(3, 3, 4)
 
 
 # ---------------------------------------------------------------------------

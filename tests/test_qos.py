@@ -1,11 +1,16 @@
 """Tests for multi-tenant QoS: admission-queue invariants, WFQ
 dispatch, the overload controller's hysteresis, degradation tiers,
 the service-level ladder (including the bit-identity contract when
-QoS is a no-op), and cluster tenant threading."""
+QoS is a no-op), degraded results checked against the per-pair
+algorithms under injected faults, and cluster tenant threading."""
 
 import numpy as np
 import pytest
 
+from repro.align import ScoringScheme
+from repro.align.banded import banded_sw_align
+from repro.align.matrix import AlignmentResult
+from repro.align.xdrop import xdrop_extend
 from repro.baselines import make_jobs
 from repro.cluster import AlignmentCluster, WorkerSpec
 from repro.qos import (
@@ -19,7 +24,7 @@ from repro.qos import (
     single_tenant_policy,
     tier_for,
 )
-from repro.resilience import CapacityExceeded
+from repro.resilience import CapacityExceeded, FaultPlan, RetryPolicy
 from repro.serve import AlignmentService
 from repro.serve.admission import AdmissionQueue
 from repro.serve.bench import mixed_stream
@@ -289,6 +294,72 @@ class TestServiceQoS:
         # Unknown tenants are admitted under the default class.
         assert qm.tenants["walkin"].tenant_class == "standard"
         assert qm.tenants["walkin"].completed == 2
+
+
+class TestDegradedExactness:
+    """Degraded results are pinned to the per-pair algorithms, never to
+    the engine that produced them.  Injected faults fail some members
+    of degraded chunks, so each surviving handle must still get its own
+    pair's result from the chunk's one scoring call."""
+
+    TENANTS = ("vip", "std", "crowd")
+    #: Tenants on an approximate tier at each forced ladder level.
+    DEGRADED = {1: {"crowd"}, 2: {"std", "crowd"}, 3: {"std", "crowd"}}
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_degraded_handles_match_per_pair_oracles(self, level):
+        scoring = ScoringScheme()
+        policy = QoSPolicy(
+            tenants=(
+                TenantPolicy(name="vip", tenant_class="premium"),
+                TenantPolicy(name="std", tenant_class="standard"),
+                TenantPolicy(name="crowd", tenant_class="best_effort"),
+            ),
+            xdrop_x=20, shed=False,
+        )
+        svc = AlignmentService(
+            scoring=scoring, compute_scores=True, qos=policy,
+            coalesce_window=32, max_queue_depth=256,
+            fault_plan=FaultPlan(seed=5, transient_rate=0.25),
+            retry_policy=RetryPolicy(max_attempts=1, cpu_fallback=False),
+        )
+        svc.set_overload_level(level)
+        rng = np.random.default_rng(100 + level)
+        pairs = []
+        for _ in range(90):
+            ref = rng.integers(0, 4, int(rng.integers(20, 160))).astype(np.uint8)
+            query = ref[int(rng.integers(0, 8)):].copy()
+            hit = rng.random(query.size) < 0.12
+            query[hit] = rng.integers(0, 4, int(hit.sum()))
+            pairs.append((ref, query))
+        handles = [
+            svc.submit(q, r, tenant=self.TENANTS[i % 3])
+            for i, (r, q) in enumerate(pairs)
+        ]
+        svc.flush()
+        tiers = {"banded": 0, "xdrop": 0}
+        failed_degraded = 0
+        for h, (r, q) in zip(handles, pairs, strict=True):
+            if not h.ok:
+                assert h.failure.job_index == h.request_id
+                failed_degraded += h.tenant in self.DEGRADED[level]
+                continue
+            if h.tier == "banded":
+                band = h.tier_params["band"]
+                assert h.result() == banded_sw_align(r, q, band, scoring)
+            elif h.tier == "xdrop":
+                e = xdrop_extend(r, q, h.tier_params["x"], scoring)
+                assert h.result() == AlignmentResult(
+                    score=max(e.score, 0), ref_end=e.ref_end,
+                    query_end=e.query_end)
+            else:
+                assert h.tenant not in self.DEGRADED[level]
+                continue
+            tiers[h.tier] += 1
+        assert failed_degraded > 0
+        assert tiers["banded" if level == 1 else "xdrop"] > 0
+        if level == 2:
+            assert tiers["banded"] > 0
 
 
 class TestClusterQoS:
